@@ -22,6 +22,17 @@
 //!   `neighbor_lp_norm_sum`);
 //! * RGCN's Gaussian machinery (`exp`, `ln`, elementwise ops).
 //!
+//! ## Constants
+//!
+//! A node is **constant** iff all its tape inputs are: [`Tape::constant`]
+//! leaves are, [`Tape::var`] leaves are not, and every op inherits the rule
+//! (operands passed by value, like `spmm`'s matrix, are constants). Constant
+//! nodes never receive a gradient (`grad()` is `None`), and
+//! [`Tape::backward`] computes a delta only for non-constant inputs — the
+//! backward of `matmul(constant, var)` issues one product, not two. Since a
+//! pruned delta could only have reached constants, variable gradients are
+//! bitwise the same as with every leaf registered as a `var`.
+//!
 //! Gradient correctness is enforced by finite-difference checks in
 //! [`gradcheck`] which every op must pass.
 

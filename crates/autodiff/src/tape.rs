@@ -86,7 +86,8 @@ enum Op {
 struct Node {
     op: Op,
     value: DenseMatrix,
-    /// Constants never receive gradients.
+    /// A constant leaf, or an op whose inputs are all constant. Constants
+    /// never receive gradients.
     is_const: bool,
 }
 
@@ -143,7 +144,7 @@ impl Tape {
         &self.ctx
     }
 
-    fn push(&mut self, op: Op, value: DenseMatrix, is_const: bool) -> TensorId {
+    fn push_node(&mut self, op: Op, value: DenseMatrix, is_const: bool) -> TensorId {
         self.nodes.push(Node {
             op,
             value,
@@ -153,15 +154,63 @@ impl Tape {
         TensorId(self.nodes.len() - 1)
     }
 
+    /// Pushes an op node; it is constant iff every tape input is.
+    fn push(&mut self, op: Op, value: DenseMatrix) -> TensorId {
+        let is_const = self.inputs_const(&op);
+        self.push_node(op, value, is_const)
+    }
+
+    fn is_const(&self, id: TensorId) -> bool {
+        self.nodes[id.0].is_const
+    }
+
+    /// Whether every tape input of `op` is constant. Operands held by
+    /// value (`SpMM`'s matrix, `HadamardConst`'s mask, ...) are constants
+    /// by construction and do not count.
+    fn inputs_const(&self, op: &Op) -> bool {
+        match op {
+            Op::Leaf => true,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Hadamard(a, b)
+            | Op::ScaleRows(a, b)
+            | Op::ScaleCols(a, b)
+            | Op::AddOuter(a, b)
+            | Op::AddBias(a, b) => self.is_const(*a) && self.is_const(*b),
+            Op::SpMM(_, a)
+            | Op::ScalarMul(a, _)
+            | Op::AddConst(a)
+            | Op::HadamardConst(a, _)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Sigmoid(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::PowScalar(a, _)
+            | Op::Transpose(a)
+            | Op::RowSum(a)
+            | Op::SumAll(a)
+            | Op::SoftmaxRows(a)
+            | Op::MaskedSoftmaxRows(a, _)
+            | Op::CrossEntropy(a, _, _)
+            | Op::Dropout(a, _)
+            | Op::RowLpNormSum(a, _)
+            | Op::NeighborLpNormSum(a, _, _, _) => self.is_const(*a),
+            Op::ConcatCols(parts) => parts.iter().all(|&p| self.is_const(p)),
+        }
+    }
+
     /// Registers a differentiable leaf (a model parameter or an attack
     /// variable).
     pub fn var(&mut self, value: DenseMatrix) -> TensorId {
-        self.push(Op::Leaf, value, false)
+        self.push_node(Op::Leaf, value, false)
     }
 
-    /// Registers a non-differentiable leaf.
+    /// Registers a non-differentiable leaf. Every op computed only from
+    /// constants is itself constant (see the crate docs).
     pub fn constant(&mut self, value: DenseMatrix) -> TensorId {
-        self.push(Op::Leaf, value, true)
+        self.push_node(Op::Leaf, value, true)
     }
 
     /// Value of tensor `id`.
@@ -187,13 +236,13 @@ impl Tape {
         let v = self
             .ctx
             .matmul(&self.nodes[a.0].value, &self.nodes[b.0].value);
-        self.push(Op::MatMul(a, b), v, false)
+        self.push(Op::MatMul(a, b), v)
     }
 
     /// `s @ b` with a constant sparse matrix `s`.
     pub fn spmm(&mut self, s: Rc<CsrMatrix>, b: TensorId) -> TensorId {
         let v = self.ctx.spmm(&s, &self.nodes[b.0].value);
-        self.push(Op::SpMM(s, b), v, false)
+        self.push(Op::SpMM(s, b), v)
     }
 
     /// `a + b`.
@@ -201,7 +250,7 @@ impl Tape {
         let v = self
             .ctx
             .binary(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x + y);
-        self.push(Op::Add(a, b), v, false)
+        self.push(Op::Add(a, b), v)
     }
 
     /// `a - b`.
@@ -209,7 +258,7 @@ impl Tape {
         let v = self
             .ctx
             .binary(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x - y);
-        self.push(Op::Sub(a, b), v, false)
+        self.push(Op::Sub(a, b), v)
     }
 
     /// Elementwise `a ∘ b`.
@@ -217,19 +266,19 @@ impl Tape {
         let v = self
             .ctx
             .binary(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x * y);
-        self.push(Op::Hadamard(a, b), v, false)
+        self.push(Op::Hadamard(a, b), v)
     }
 
     /// `c * a`.
     pub fn scalar_mul(&mut self, a: TensorId, c: f64) -> TensorId {
         let v = self.ctx.unary(&self.nodes[a.0].value, |x| x * c);
-        self.push(Op::ScalarMul(a, c), v, false)
+        self.push(Op::ScalarMul(a, c), v)
     }
 
     /// `a + c` with a constant matrix.
     pub fn add_const(&mut self, a: TensorId, c: Rc<DenseMatrix>) -> TensorId {
         let v = self.ctx.binary(&self.nodes[a.0].value, &c, |x, y| x + y);
-        self.push(Op::AddConst(a), v, false)
+        self.push(Op::AddConst(a), v)
     }
 
     /// `a - c` with a constant matrix (stored as `AddConst` of `-c`).
@@ -240,13 +289,13 @@ impl Tape {
     /// Elementwise `a ∘ c` with a constant matrix.
     pub fn hadamard_const(&mut self, a: TensorId, c: Rc<DenseMatrix>) -> TensorId {
         let v = self.ctx.binary(&self.nodes[a.0].value, &c, |x, y| x * y);
-        self.push(Op::HadamardConst(a, c), v, false)
+        self.push(Op::HadamardConst(a, c), v)
     }
 
     /// ReLU.
     pub fn relu(&mut self, a: TensorId) -> TensorId {
         let v = self.ctx.unary(&self.nodes[a.0].value, |x| x.max(0.0));
-        self.push(Op::Relu(a), v, false)
+        self.push(Op::Relu(a), v)
     }
 
     /// Leaky ReLU with negative slope `slope`.
@@ -255,7 +304,7 @@ impl Tape {
             &self.nodes[a.0].value,
             |x| if x > 0.0 { x } else { slope * x },
         );
-        self.push(Op::LeakyRelu(a, slope), v, false)
+        self.push(Op::LeakyRelu(a, slope), v)
     }
 
     /// Logistic sigmoid.
@@ -263,13 +312,13 @@ impl Tape {
         let v = self
             .ctx
             .unary(&self.nodes[a.0].value, |x| 1.0 / (1.0 + (-x).exp()));
-        self.push(Op::Sigmoid(a), v, false)
+        self.push(Op::Sigmoid(a), v)
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: TensorId) -> TensorId {
         let v = self.ctx.unary(&self.nodes[a.0].value, f64::exp);
-        self.push(Op::Exp(a), v, false)
+        self.push(Op::Exp(a), v)
     }
 
     /// Elementwise natural log, clamped below at `1e-12`.
@@ -277,7 +326,7 @@ impl Tape {
         let v = self
             .ctx
             .unary(&self.nodes[a.0].value, |x| x.max(CLAMP_EPS).ln());
-        self.push(Op::Ln(a), v, false)
+        self.push(Op::Ln(a), v)
     }
 
     /// Elementwise power `x^p`; negative bases are clamped to `1e-12` when
@@ -288,40 +337,40 @@ impl Tape {
             let x = if clamp { x.max(CLAMP_EPS) } else { x };
             x.powf(p)
         });
-        self.push(Op::PowScalar(a, p), v, false)
+        self.push(Op::PowScalar(a, p), v)
     }
 
     /// Transpose.
     pub fn transpose(&mut self, a: TensorId) -> TensorId {
         let v = self.nodes[a.0].value.transpose();
-        self.push(Op::Transpose(a), v, false)
+        self.push(Op::Transpose(a), v)
     }
 
     /// Row sums as an `n × 1` tensor.
     pub fn row_sum(&mut self, a: TensorId) -> TensorId {
         let sums = self.nodes[a.0].value.row_sums();
         let n = sums.len();
-        self.push(Op::RowSum(a), DenseMatrix::from_vec(n, 1, sums), false)
+        self.push(Op::RowSum(a), DenseMatrix::from_vec(n, 1, sums))
     }
 
     /// Sum of all entries as a `1 × 1` tensor.
     pub fn sum_all(&mut self, a: TensorId) -> TensorId {
         let s = self.nodes[a.0].value.sum();
-        self.push(Op::SumAll(a), DenseMatrix::from_vec(1, 1, vec![s]), false)
+        self.push(Op::SumAll(a), DenseMatrix::from_vec(1, 1, vec![s]))
     }
 
     /// `y[i][j] = x[i][j] * s[i]`, with `s` an `n × 1` tensor.
     pub fn scale_rows(&mut self, x: TensorId, s: TensorId) -> TensorId {
         let scales: Vec<f64> = self.nodes[s.0].value.as_slice().to_vec();
         let v = self.nodes[x.0].value.scale_rows(&scales);
-        self.push(Op::ScaleRows(x, s), v, false)
+        self.push(Op::ScaleRows(x, s), v)
     }
 
     /// `y[i][j] = x[i][j] * s[j]`, with `s` an `m × 1` tensor.
     pub fn scale_cols(&mut self, x: TensorId, s: TensorId) -> TensorId {
         let scales: Vec<f64> = self.nodes[s.0].value.as_slice().to_vec();
         let v = self.nodes[x.0].value.scale_cols(&scales);
-        self.push(Op::ScaleCols(x, s), v, false)
+        self.push(Op::ScaleCols(x, s), v)
     }
 
     /// Row-wise softmax.
@@ -330,7 +379,7 @@ impl Tape {
         for i in 0..v.rows() {
             softmax_slice(v.row_mut(i));
         }
-        self.push(Op::SoftmaxRows(a), v, false)
+        self.push(Op::SoftmaxRows(a), v)
     }
 
     /// Row-wise softmax over entries where `mask != 0`; all-masked rows
@@ -343,7 +392,7 @@ impl Tape {
         for i in 0..r {
             masked_softmax_slice(x.row(i), mask.row(i), v.row_mut(i));
         }
-        self.push(Op::MaskedSoftmaxRows(a, mask), v, false)
+        self.push(Op::MaskedSoftmaxRows(a, mask), v)
     }
 
     /// Mean softmax cross-entropy over the rows listed in `rows`:
@@ -368,7 +417,6 @@ impl Tape {
         self.push(
             Op::CrossEntropy(logits, labels, rows),
             DenseMatrix::from_vec(1, 1, vec![loss]),
-            false,
         )
     }
 
@@ -391,7 +439,7 @@ impl Tape {
         };
         let mask = Rc::new(mask);
         let v = self.ctx.binary(&self.nodes[a.0].value, &mask, |x, y| x * y);
-        self.push(Op::Dropout(a, mask), v, false)
+        self.push(Op::Dropout(a, mask), v)
     }
 
     /// `y[i][j] = s[i] + d[j]` from column tensors `s` (r×1) and `d` (c×1).
@@ -408,7 +456,7 @@ impl Tape {
                 v.set(i, j, si + dv.get(j, 0));
             }
         }
-        self.push(Op::AddOuter(s, d), v, false)
+        self.push(Op::AddOuter(s, d), v)
     }
 
     /// Horizontal concatenation `[a₀ | a₁ | …]`.
@@ -426,7 +474,7 @@ impl Tape {
             }
             off += pv.cols();
         }
-        self.push(Op::ConcatCols(parts.to_vec()), v, false)
+        self.push(Op::ConcatCols(parts.to_vec()), v)
     }
 
     /// Scalar `Σ_i ‖x[i,:]‖_p` — PEEGA's self-view difference (Eq. 5 of the
@@ -434,11 +482,7 @@ impl Tape {
     pub fn row_lp_norm_sum(&mut self, x: TensorId, p: f64) -> TensorId {
         let xv = &self.nodes[x.0].value;
         let s: f64 = (0..xv.rows()).map(|i| xv.row_lp_norm(i, p)).sum();
-        self.push(
-            Op::RowLpNormSum(x, p),
-            DenseMatrix::from_vec(1, 1, vec![s]),
-            false,
-        )
+        self.push(Op::RowLpNormSum(x, p), DenseMatrix::from_vec(1, 1, vec![s]))
     }
 
     /// Scalar `Σ_{(v,u) ∈ E(adj)} ‖x[v,:] − c[u,:]‖_p` — PEEGA's global-view
@@ -475,7 +519,6 @@ impl Tape {
         self.push(
             Op::NeighborLpNormSum(x, adj, c, p),
             DenseMatrix::from_vec(1, 1, vec![s]),
-            false,
         )
     }
 
@@ -491,13 +534,19 @@ impl Tape {
                 *o += bb;
             }
         }
-        self.push(Op::AddBias(x, b), v, false)
+        self.push(Op::AddBias(x, b), v)
     }
 
     // ----- backward -------------------------------------------------------------
 
     /// Runs the backward pass from the scalar tensor `output` (must be
     /// `1 × 1`), filling gradients for every differentiable ancestor.
+    ///
+    /// Work is pruned to what those gradients need: constant nodes are
+    /// never visited, and an op computes a delta only for its non-constant
+    /// inputs (`matmul(constant, var)` runs one product, not two). Pruned
+    /// deltas could only have flowed into constants, so every variable
+    /// gradient is bitwise the one the unpruned pass computes.
     ///
     /// # Panics
     /// Panics if `output` is not `1 × 1`.
@@ -512,6 +561,9 @@ impl Tape {
                 self.ctx.recycle(old);
             }
         }
+        if self.is_const(output) {
+            return;
+        }
         self.grads[output.0] = Some(DenseMatrix::from_vec(1, 1, vec![1.0]));
         for idx in (0..=output.0).rev() {
             let Some(grad) = self.grads[idx].take() else {
@@ -524,10 +576,7 @@ impl Tape {
     }
 
     fn accumulate(&mut self, id: TensorId, delta: DenseMatrix) {
-        if self.nodes[id.0].is_const {
-            self.ctx.recycle(delta);
-            return;
-        }
+        debug_assert!(!self.is_const(id), "delta computed for a constant");
         match &mut self.grads[id.0] {
             Some(g) => {
                 g.axpy(1.0, &delta);
@@ -537,36 +586,55 @@ impl Tape {
         }
     }
 
+    /// Pushes node `idx`'s gradient `g` to its inputs. Only non-constant
+    /// nodes get here, so a single-input op's input is never constant; a
+    /// multi-input op computes the delta of each input only when that
+    /// input is `live` (not constant).
     fn propagate(&mut self, idx: usize, g: &DenseMatrix) {
-        // Clone the op descriptor cheaply via match on borrowed data; we
-        // compute deltas from immutable borrows, then accumulate.
+        // Deltas are computed from immutable borrows, then accumulated.
         enum Delta {
             One(TensorId, DenseMatrix),
-            Two(TensorId, DenseMatrix, TensorId, DenseMatrix),
+            Two(TensorId, Option<DenseMatrix>, TensorId, Option<DenseMatrix>),
             Many(Vec<(TensorId, DenseMatrix)>),
             None,
         }
         let delta = {
             let ctx = &self.ctx;
             let node = &self.nodes[idx];
+            let live = |id: &TensorId| !self.is_const(*id);
             match &node.op {
                 Op::Leaf => Delta::None,
                 Op::MatMul(a, b) => {
                     let av = &self.nodes[a.0].value;
                     let bv = &self.nodes[b.0].value;
-                    Delta::Two(*a, ctx.matmul_nt(g, bv), *b, ctx.matmul_tn(av, g))
+                    Delta::Two(
+                        *a,
+                        live(a).then(|| ctx.matmul_nt(g, bv)),
+                        *b,
+                        live(b).then(|| ctx.matmul_tn(av, g)),
+                    )
                 }
                 Op::SpMM(s, b) => Delta::One(*b, ctx.spmm_t(s, g)),
-                Op::Add(a, b) => Delta::Two(*a, ctx.alloc_copy(g), *b, ctx.alloc_copy(g)),
-                Op::Sub(a, b) => Delta::Two(*a, ctx.alloc_copy(g), *b, ctx.unary(g, |x| -x)),
+                Op::Add(a, b) => Delta::Two(
+                    *a,
+                    live(a).then(|| ctx.alloc_copy(g)),
+                    *b,
+                    live(b).then(|| ctx.alloc_copy(g)),
+                ),
+                Op::Sub(a, b) => Delta::Two(
+                    *a,
+                    live(a).then(|| ctx.alloc_copy(g)),
+                    *b,
+                    live(b).then(|| ctx.unary(g, |x| -x)),
+                ),
                 Op::Hadamard(a, b) => {
                     let av = &self.nodes[a.0].value;
                     let bv = &self.nodes[b.0].value;
                     Delta::Two(
                         *a,
-                        ctx.binary(g, bv, |x, y| x * y),
+                        live(a).then(|| ctx.binary(g, bv, |x, y| x * y)),
                         *b,
-                        ctx.binary(g, av, |x, y| x * y),
+                        live(b).then(|| ctx.binary(g, av, |x, y| x * y)),
                     )
                 }
                 Op::ScalarMul(a, c) => {
@@ -632,31 +700,48 @@ impl Tape {
                 Op::ScaleRows(x, s) => {
                     let xv = &self.nodes[x.0].value;
                     let sv = &self.nodes[s.0].value;
-                    let mut dx = ctx.alloc_copy(g);
-                    let mut ds = ctx.alloc_zeroed(sv.rows(), 1);
-                    for i in 0..xv.rows() {
-                        let si = sv.get(i, 0);
-                        let mut acc = 0.0;
-                        for (d, &xx) in dx.row_mut(i).iter_mut().zip(xv.row(i)) {
-                            acc += *d * xx;
-                            *d *= si;
+                    let dx = live(x).then(|| {
+                        let mut dx = ctx.alloc_copy(g);
+                        for i in 0..xv.rows() {
+                            let si = sv.get(i, 0);
+                            dx.row_mut(i).iter_mut().for_each(|d| *d *= si);
                         }
-                        ds.set(i, 0, acc);
-                    }
+                        dx
+                    });
+                    let ds = live(s).then(|| {
+                        let mut ds = ctx.alloc_zeroed(sv.rows(), 1);
+                        for i in 0..xv.rows() {
+                            let mut acc = 0.0;
+                            for (&d, &xx) in g.row(i).iter().zip(xv.row(i)) {
+                                acc += d * xx;
+                            }
+                            ds.set(i, 0, acc);
+                        }
+                        ds
+                    });
                     Delta::Two(*x, dx, *s, ds)
                 }
                 Op::ScaleCols(x, s) => {
                     let xv = &self.nodes[x.0].value;
                     let sv = &self.nodes[s.0].value;
-                    let mut dx = ctx.alloc_copy(g);
-                    let mut ds = ctx.alloc_zeroed(sv.rows(), 1);
-                    for i in 0..xv.rows() {
-                        let xr = xv.row(i);
-                        for (j, d) in dx.row_mut(i).iter_mut().enumerate() {
-                            ds.add_at(j, 0, *d * xr[j]);
-                            *d *= sv.get(j, 0);
+                    let dx = live(x).then(|| {
+                        let mut dx = ctx.alloc_copy(g);
+                        for i in 0..xv.rows() {
+                            for (j, d) in dx.row_mut(i).iter_mut().enumerate() {
+                                *d *= sv.get(j, 0);
+                            }
                         }
-                    }
+                        dx
+                    });
+                    let ds = live(s).then(|| {
+                        let mut ds = ctx.alloc_zeroed(sv.rows(), 1);
+                        for i in 0..xv.rows() {
+                            for (j, (&d, &xx)) in g.row(i).iter().zip(xv.row(i)).enumerate() {
+                                ds.add_at(j, 0, d * xx);
+                            }
+                        }
+                        ds
+                    });
                     Delta::Two(*x, dx, *s, ds)
                 }
                 Op::SoftmaxRows(a) => {
@@ -708,28 +793,30 @@ impl Tape {
                     Delta::One(*logits, d)
                 }
                 Op::Dropout(a, mask) => Delta::One(*a, ctx.binary(g, mask, |x, y| x * y)),
-                Op::AddOuter(s, d) => {
-                    let rs = g.row_sums();
-                    let cs = g.col_sums();
-                    let n = rs.len();
-                    let m = cs.len();
-                    Delta::Two(
-                        *s,
-                        DenseMatrix::from_vec(n, 1, rs),
-                        *d,
-                        DenseMatrix::from_vec(m, 1, cs),
-                    )
-                }
+                Op::AddOuter(s, d) => Delta::Two(
+                    *s,
+                    live(s).then(|| {
+                        let rs = g.row_sums();
+                        DenseMatrix::from_vec(rs.len(), 1, rs)
+                    }),
+                    *d,
+                    live(d).then(|| {
+                        let cs = g.col_sums();
+                        DenseMatrix::from_vec(cs.len(), 1, cs)
+                    }),
+                ),
                 Op::ConcatCols(parts) => {
                     let mut deltas = Vec::with_capacity(parts.len());
                     let mut off = 0;
-                    for &p in parts {
+                    for p in parts {
                         let (r, c) = self.nodes[p.0].value.shape();
-                        let mut d = ctx.alloc_zeroed(r, c);
-                        for i in 0..r {
-                            d.row_mut(i).copy_from_slice(&g.row(i)[off..off + c]);
+                        if live(p) {
+                            let mut d = ctx.alloc_zeroed(r, c);
+                            for i in 0..r {
+                                d.row_mut(i).copy_from_slice(&g.row(i)[off..off + c]);
+                            }
+                            deltas.push((*p, d));
                         }
-                        deltas.push((p, d));
                         off += c;
                     }
                     Delta::Many(deltas)
@@ -768,19 +855,27 @@ impl Tape {
                     }
                     Delta::One(*x, d)
                 }
-                Op::AddBias(x, b) => {
-                    let cs = g.col_sums();
-                    let m = cs.len();
-                    Delta::Two(*x, ctx.alloc_copy(g), *b, DenseMatrix::from_vec(1, m, cs))
-                }
+                Op::AddBias(x, b) => Delta::Two(
+                    *x,
+                    live(x).then(|| ctx.alloc_copy(g)),
+                    *b,
+                    live(b).then(|| {
+                        let cs = g.col_sums();
+                        DenseMatrix::from_vec(1, cs.len(), cs)
+                    }),
+                ),
             }
         };
         match delta {
             Delta::None => {}
             Delta::One(a, d) => self.accumulate(a, d),
             Delta::Two(a, da, b, db) => {
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                if let Some(da) = da {
+                    self.accumulate(a, da);
+                }
+                if let Some(db) = db {
+                    self.accumulate(b, db);
+                }
             }
             Delta::Many(ds) => {
                 for (id, d) in ds {

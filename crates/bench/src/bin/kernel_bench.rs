@@ -1,9 +1,12 @@
 //! Kernel microbenchmark — the perf trajectory file.
 //!
 //! Times the blocked/threaded kernels against their naive references at
-//! graph-relevant sizes (Cora-shaped: `n = 2708`, `d = 1433`) and writes
-//! `BENCH_kernels.json` with GFLOP/s per kernel, shape, and thread count,
-//! so future changes have a baseline to compare against.
+//! graph-relevant sizes (Cora-shaped: `n = 2708`, `d = 1433`, and the
+//! attack cells' 298-node cora-like graph with its 7-class gradient
+//! products) and writes `BENCH_kernels.json` with GFLOP/s per kernel,
+//! shape, and thread count, plus the host it ran on (`nproc`, AVX2), so
+//! future changes have a baseline to compare against. Thread rows above
+//! the host's `nproc` are oversubscribed and say nothing about scaling.
 //!
 //! The determinism contract means every row of this file describes the
 //! *same bytes* — thread count trades wall-clock only, which is exactly
@@ -31,6 +34,8 @@ const CORA_N: usize = 2708;
 const CORA_D: usize = 1433;
 /// GCN hidden width used for the Cora-shaped propagation product.
 const HIDDEN: usize = 16;
+/// Graph scale of the attack workload's cora-like graph (298 nodes).
+const ATTACK_SCALE: f64 = 0.12;
 
 /// Per-variant timing summary over the interleaved rounds.
 #[derive(Clone, Copy)]
@@ -91,7 +96,7 @@ fn sparse(n: usize, target_nnz: usize) -> CsrMatrix {
 }
 
 struct Row {
-    kernel: &'static str,
+    kernel: String,
     shape: String,
     threads: usize,
     flops: f64,
@@ -114,7 +119,7 @@ impl Row {
 
     fn json(&self) -> Json {
         Json::object([
-            ("kernel".to_string(), Json::string(self.kernel)),
+            ("kernel".to_string(), Json::string(self.kernel.clone())),
             ("shape".to_string(), Json::string(self.shape.clone())),
             ("threads".to_string(), Json::number_usize(self.threads)),
             ("secs".to_string(), Json::number_f64(self.timing.best)),
@@ -132,6 +137,63 @@ impl Row {
                 Json::number_f64(self.median_speedup()),
             ),
         ])
+    }
+}
+
+/// Times one kernel group, interleaved: the naive reference against `op`
+/// on every context. Each sample runs `batch` calls, so sub-millisecond
+/// products are timed well above clock resolution. Appends the naive row
+/// and one row per thread count; `flops` is per call.
+#[allow(clippy::too_many_arguments)]
+fn time_kernel(
+    rows: &mut Vec<Row>,
+    ctxs: &[ExecContext],
+    reps: usize,
+    (kernel, shape): (&str, String),
+    flops: f64,
+    batch: usize,
+    mut naive: impl FnMut() -> DenseMatrix,
+    op: impl Fn(&ExecContext) -> DenseMatrix,
+) {
+    let op = &op;
+    let mut ops: Vec<Box<dyn FnMut() + '_>> = vec![Box::new(move || {
+        for _ in 0..batch {
+            drop(naive());
+        }
+    })];
+    for ctx in ctxs {
+        ops.push(Box::new(move || {
+            for _ in 0..batch {
+                let out = op(ctx);
+                ctx.recycle(out);
+            }
+        }));
+    }
+    let secs = time_group(reps, &mut ops);
+    let flops = flops * batch as f64;
+    let row = |kernel: String, threads: usize, timing: Timing| Row {
+        kernel,
+        shape: shape.clone(),
+        threads,
+        flops,
+        timing,
+        naive: secs[0],
+    };
+    rows.push(row(format!("{kernel}_naive"), 1, secs[0]));
+    for (ctx, &timing) in ctxs.iter().zip(&secs[1..]) {
+        rows.push(row(kernel.to_string(), ctx.threads(), timing));
+    }
+}
+
+/// Whether the kernels' AVX2 dispatch is taken on this host.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
@@ -182,118 +244,106 @@ fn main() {
     // --- dense matmul chain at the Cora propagation shape -----------------
     // X (n×d) · W (d×h) is the feature-weight product of every GCN forward;
     // reference = the naive triple loop the blocked kernel must beat.
+    use bbgnn::linalg::kernels::{matmul_nt_ref, matmul_ref, matmul_tn_ref, spmm_ref};
     let a = DenseMatrix::uniform(CORA_N, CORA_D, 1.0, 1);
     let w = DenseMatrix::uniform(CORA_D, HIDDEN, 1.0, 2);
-    let matmul_flops = (2 * CORA_N * CORA_D * HIDDEN) as f64;
-    let shape = format!("{CORA_N}x{CORA_D}x{HIDDEN}");
-    {
-        let mut ops: Vec<Box<dyn FnMut() + '_>> = Vec::new();
-        ops.push(Box::new(|| {
-            drop(bbgnn::linalg::kernels::matmul_ref(&a, &w));
-        }));
-        let (a, w) = (&a, &w);
-        for ctx in &ctxs {
-            ops.push(Box::new(move || {
-                let out = ctx.matmul(a, w);
-                ctx.recycle(out);
-            }));
-        }
-        let secs = time_group(reps, &mut ops);
-        rows.push(Row {
-            kernel: "matmul_naive",
-            shape: shape.clone(),
-            threads: 1,
-            flops: matmul_flops,
-            timing: secs[0],
-            naive: secs[0],
-        });
-        for (i, &t) in thread_counts.iter().enumerate() {
-            rows.push(Row {
-                kernel: "matmul",
-                shape: shape.clone(),
-                threads: t,
-                flops: matmul_flops,
-                timing: secs[i + 1],
-                naive: secs[0],
-            });
-        }
-    }
+    time_kernel(
+        &mut rows,
+        &ctxs,
+        reps,
+        ("matmul", format!("{CORA_N}x{CORA_D}x{HIDDEN}")),
+        (2 * CORA_N * CORA_D * HIDDEN) as f64,
+        1,
+        || matmul_ref(&a, &w),
+        |ctx| ctx.matmul(&a, &w),
+    );
 
     // --- matmul_tn at the gradient shape (Aᵀ G, d×n · n×h) ---------------
     let g = DenseMatrix::uniform(CORA_N, HIDDEN, 1.0, 3);
-    let tn_flops = (2 * CORA_D * CORA_N * HIDDEN) as f64;
-    let tn_shape = format!("{CORA_N}x{CORA_D}^T x{HIDDEN}");
-    {
-        let mut ops: Vec<Box<dyn FnMut() + '_>> = Vec::new();
-        ops.push(Box::new(|| {
-            drop(bbgnn::linalg::kernels::matmul_tn_ref(&a, &g));
-        }));
-        let (a, g) = (&a, &g);
-        for ctx in &ctxs {
-            ops.push(Box::new(move || {
-                let out = ctx.matmul_tn(a, g);
-                ctx.recycle(out);
-            }));
-        }
-        let secs = time_group(reps, &mut ops);
-        rows.push(Row {
-            kernel: "matmul_tn_naive",
-            shape: tn_shape.clone(),
-            threads: 1,
-            flops: tn_flops,
-            timing: secs[0],
-            naive: secs[0],
-        });
-        for (i, &t) in thread_counts.iter().enumerate() {
-            rows.push(Row {
-                kernel: "matmul_tn",
-                shape: tn_shape.clone(),
-                threads: t,
-                flops: tn_flops,
-                timing: secs[i + 1],
-                naive: secs[0],
-            });
-        }
-    }
+    time_kernel(
+        &mut rows,
+        &ctxs,
+        reps,
+        ("matmul_tn", format!("{CORA_N}x{CORA_D}^T x{HIDDEN}")),
+        (2 * CORA_D * CORA_N * HIDDEN) as f64,
+        1,
+        || matmul_tn_ref(&a, &g),
+        |ctx| ctx.matmul_tn(&a, &g),
+    );
+
+    // --- the attack cells' gradient products -------------------------------
+    // The linear surrogate every Table VII attacker trains (H = Â_n² X on a
+    // cora-like graph at scale 0.12, with its real zeros; 7 classes): its
+    // forward H·W and weight gradient Hᵀ·G, both narrower than the 8-wide
+    // register tile. Then the two adjacency-gradient shapes: G·(XW)ᵀ with
+    // inner dimension 7 (Metattack, PGD) and G·Hᵀ with inner dimension d
+    // (PEEGA's ∂/∂Â_n). One call takes 0.05–3 ms, so each sample runs a
+    // batch lasting several milliseconds, well above scheduler noise.
+    let cora = DatasetSpec::CoraLike.generate(ATTACK_SCALE, cfg.seed);
+    let h = cora.propagate(2);
+    let (n, d, c) = (h.rows(), h.cols(), cora.num_classes);
+    let hw = DenseMatrix::glorot(d, c, 4);
+    let gc = DenseMatrix::uniform(n, c, 1.0, 5);
+    time_kernel(
+        &mut rows,
+        &ctxs,
+        reps,
+        ("matmul_narrow", format!("{n}x{d}x{c} cora-like H")),
+        (2 * n * d * c) as f64,
+        100,
+        || matmul_ref(&h, &hw),
+        |ctx| ctx.matmul(&h, &hw),
+    );
+    time_kernel(
+        &mut rows,
+        &ctxs,
+        reps,
+        ("matmul_tn_narrow", format!("{n}x{d}^T x{c} cora-like H")),
+        (2 * n * d * c) as f64,
+        100,
+        || matmul_tn_ref(&h, &gc),
+        |ctx| ctx.matmul_tn(&h, &gc),
+    );
+    let xw = cora.features.matmul(&hw);
+    time_kernel(
+        &mut rows,
+        &ctxs,
+        reps,
+        ("matmul_nt_thin", format!("{n}x{c} x{n}x{c}^T")),
+        (2 * n * c * n) as f64,
+        100,
+        || matmul_nt_ref(&gc, &xw),
+        |ctx| ctx.matmul_nt(&gc, &xw),
+    );
+    let gd = DenseMatrix::uniform(n, d, 1.0, 6);
+    time_kernel(
+        &mut rows,
+        &ctxs,
+        reps,
+        ("matmul_nt", format!("{n}x{d} x{n}x{d}^T cora-like H")),
+        (2 * n * d * n) as f64,
+        4,
+        || matmul_nt_ref(&gd, &h),
+        |ctx| ctx.matmul_nt(&gd, &h),
+    );
 
     // --- SpMM at the Cora adjacency shape ---------------------------------
     // Â (2708×2708, ~10k nnz) · X (2708×1433): the sparse propagation.
     let s = sparse(CORA_N, 10_000);
     let x = DenseMatrix::uniform(CORA_N, CORA_D, 1.0, 4);
-    let spmm_flops = (2 * s.nnz() * CORA_D) as f64;
-    let spmm_shape = format!("{CORA_N}x{CORA_N}({}nnz) x{CORA_D}", s.nnz());
-    {
-        let mut ops: Vec<Box<dyn FnMut() + '_>> = Vec::new();
-        ops.push(Box::new(|| {
-            drop(bbgnn::linalg::kernels::spmm_ref(&s, &x));
-        }));
-        let (s, x) = (&s, &x);
-        for ctx in &ctxs {
-            ops.push(Box::new(move || {
-                let out = ctx.spmm(s, x);
-                ctx.recycle(out);
-            }));
-        }
-        let secs = time_group(reps, &mut ops);
-        rows.push(Row {
-            kernel: "spmm_naive",
-            shape: spmm_shape.clone(),
-            threads: 1,
-            flops: spmm_flops,
-            timing: secs[0],
-            naive: secs[0],
-        });
-        for (i, &t) in thread_counts.iter().enumerate() {
-            rows.push(Row {
-                kernel: "spmm",
-                shape: spmm_shape.clone(),
-                threads: t,
-                flops: spmm_flops,
-                timing: secs[i + 1],
-                naive: secs[0],
-            });
-        }
-    }
+    time_kernel(
+        &mut rows,
+        &ctxs,
+        reps,
+        (
+            "spmm",
+            format!("{CORA_N}x{CORA_N}({}nnz) x{CORA_D}", s.nnz()),
+        ),
+        (2 * s.nnz() * CORA_D) as f64,
+        1,
+        || spmm_ref(&s, &x),
+        |ctx| ctx.spmm(&s, &x),
+    );
 
     // --- incremental rescore vs full rescore (DESIGN.md §13) --------------
     // One committed edge flip on a Cora-shaped graph: the incremental
@@ -352,7 +402,7 @@ fn main() {
         }));
         let secs = time_group(reps, &mut ops);
         rows.push(Row {
-            kernel: "incr_update_naive",
+            kernel: "incr_update_naive".to_string(),
             shape: incr_shape.clone(),
             threads: 1,
             flops: incr_flops,
@@ -360,7 +410,7 @@ fn main() {
             naive: secs[0],
         });
         rows.push(Row {
-            kernel: "incr_update",
+            kernel: "incr_update".to_string(),
             shape: incr_shape,
             threads: 1,
             flops: incr_flops,
@@ -373,7 +423,7 @@ fn main() {
     let mut table = Table::new(&["kernel", "shape", "threads", "GFLOP/s", "speedup"]);
     for r in &rows {
         table.push_row(vec![
-            r.kernel.to_string(),
+            r.kernel.clone(),
             r.shape.clone(),
             r.threads.to_string(),
             format!("{:.2}", r.gflops()),
@@ -388,6 +438,16 @@ fn main() {
             Json::object([
                 ("max_threads".to_string(), Json::number_usize(max_threads)),
                 ("seed".to_string(), Json::number_usize(cfg.seed as usize)),
+            ]),
+        ),
+        (
+            "host".to_string(),
+            Json::object([
+                (
+                    "nproc".to_string(),
+                    Json::number_usize(bbgnn::exec::default_threads()),
+                ),
+                ("avx2".to_string(), Json::Bool(has_avx2())),
             ]),
         ),
         (

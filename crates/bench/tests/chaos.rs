@@ -110,6 +110,34 @@ fn kernel_nan_fault_poisons_the_same_entry_on_every_replay() {
     assert!(nan_positions(None).is_empty(), "no plan, no poison");
 }
 
+#[test]
+fn kernel_nan_fault_on_a_narrow_matmul_poisons_one_real_output_entry() {
+    // Width 7 (Cora's classes) runs on the kernel's internal zero-padded
+    // tail panel. A shot must land in the real output exactly once: an
+    // internal panel must neither swallow it nor fire the site again.
+    let _g = locked();
+    let pool = ThreadPool::new(2);
+    let a = DenseMatrix::uniform(298, 171, 1.0, 1);
+    let b = DenseMatrix::uniform(171, 7, 1.0, 2);
+    for plan in ["42:fault/kernel_nan", "7:fault/kernel_nan@2"] {
+        fault::install(plan).unwrap();
+        let poisoned: Vec<usize> = (0..3)
+            .map(|_| {
+                let mut out = DenseMatrix::zeros(298, 7);
+                bbgnn::linalg::kernels::matmul_into(&a, &b, &mut out, &pool);
+                out.as_slice().iter().filter(|v| v.is_nan()).count()
+            })
+            .collect();
+        bbgnn_supervise::shutdown();
+        let expected = if plan.ends_with("@2") {
+            [0, 1, 0]
+        } else {
+            [1, 0, 0]
+        };
+        assert_eq!(poisoned, expected, "{plan}: NaN entries per call");
+    }
+}
+
 // --- fault/pool_panic ----------------------------------------------------
 
 #[test]

@@ -371,19 +371,87 @@ pub fn spmm_ref(s: &CsrMatrix, b: &DenseMatrix) -> DenseMatrix {
 /// vectors of accumulators, leaving registers free for the `b` stream.
 const TILE_J: usize = 8;
 
-/// Register-tiled row update: `out_row[j0..j1] += a_blk · b_blk[.., j0..j1]`
-/// where `a_blk` is a contiguous `k` segment of one `a` row and `b_blk`
-/// holds the matching `b` rows (stride `n`, starting at the segment's first
-/// row). A tile of [`TILE_J`] output elements stays in local accumulators
-/// across the whole segment. Per output element the accumulation is still
-/// ascending-`k` with the same `aik == 0.0` skip as [`matmul_ref`], so the
-/// result is bitwise identical to the naive loop.
-#[inline]
-fn saxpy_row_block(
-    a_blk: &[f64],
-    b_blk: &[f64],
-    out_row: &mut [f64],
+/// Rows processed together by the quad-row tile. Four rows × [`TILE_J`]
+/// columns gives eight independent vector accumulator chains — enough to
+/// hide FP add latency on one core — and amortizes each `b` tile load over
+/// four rows.
+const TILE_R: usize = 4;
+
+/// The right-hand panel of a band product as the tile kernels read it:
+/// row-major `rows × n` values plus, when `n` is not a multiple of
+/// [`TILE_J`], a copy of the last `n % TILE_J` columns zero-padded to
+/// `rows × TILE_J`. The copy lets narrow widths (Cora's 7 classes) and the
+/// ragged right edge of wide ones run through the same register tile as
+/// full tiles; the padding lanes accumulate into discarded accumulators,
+/// so no output element sees a different operation sequence.
+struct Panel<'a> {
+    data: &'a [f64],
     n: usize,
+    tail: Vec<f64>,
+}
+
+impl<'a> Panel<'a> {
+    /// Wraps `data` (`rows × n`, row-major), copying its ragged tail.
+    /// Allocates at most `rows × TILE_J` values, once per kernel call.
+    fn new(data: &'a [f64], n: usize) -> Self {
+        let full = n - n % TILE_J;
+        let mut tail = Vec::new();
+        if full < n {
+            let rows = data.len() / n;
+            tail.resize(rows * TILE_J, 0.0);
+            for (dst, src) in tail.chunks_exact_mut(TILE_J).zip(data.chunks_exact(n)) {
+                dst[..n - full].copy_from_slice(&src[full..]);
+            }
+        }
+        Panel { data, n, tail }
+    }
+
+    /// The panel's rows `k0..k1`.
+    fn rows(&self, k0: usize, k1: usize) -> PanelRows<'_> {
+        let tail = if self.tail.is_empty() {
+            &[][..]
+        } else {
+            &self.tail[k0 * TILE_J..k1 * TILE_J]
+        };
+        PanelRows {
+            data: &self.data[k0 * self.n..k1 * self.n],
+            tail,
+            n: self.n,
+        }
+    }
+}
+
+/// A `k` block of a [`Panel`]: the tile kernels' right-hand operand.
+#[derive(Clone, Copy)]
+struct PanelRows<'a> {
+    data: &'a [f64],
+    tail: &'a [f64],
+    n: usize,
+}
+
+/// Whether every value of a right-hand panel is finite — the condition
+/// under which the reference kernels' `aik == 0.0` skip can be dropped
+/// without changing a bit. An accumulator starts at `+0.0` and, under
+/// round-to-nearest, a sum is `-0.0` only when both addends are `-0.0`, so
+/// the accumulator is never `-0.0`; adding `0 · b = ±0` to it is then the
+/// identity unless `b` is `±inf` or NaN.
+fn all_finite(values: &[f64]) -> bool {
+    values.iter().all(|v| v.is_finite())
+}
+
+/// Register-tiled update of `R` consecutive output rows:
+/// `out[q][j0..j1] += a[q] · rows[.., j0..j1]`, where `a[q]` is the `k`
+/// segment of the `q`-th left row matching `rows`, and `out` holds the
+/// `R` rows contiguously (stride `rows.n`). Per output element the
+/// accumulation is ascending-`k`; with `SKIP` it also skips `aik == 0.0`
+/// exactly as [`matmul_ref`] does, so the result is bitwise identical to
+/// the naive loop. `j0..j1` is tile-aligned except for a ragged end at
+/// `j1 == n`, which runs on the panel's padded tail.
+#[inline]
+fn tile_rows<const R: usize, const SKIP: bool>(
+    a: [&[f64]; R],
+    rows: PanelRows<'_>,
+    out: &mut [f64],
     j0: usize,
     j1: usize,
 ) {
@@ -393,179 +461,109 @@ fn saxpy_row_block(
             // SAFETY: AVX2 support was just checked (std caches the CPUID
             // probe), which discharges the `#[target_feature]` obligation —
             // the callee body is safe code whose accesses are all
-            // bounds-checked slice ops on the caller's disjoint output row.
-            // The AVX2 build of the kernel only widens the lanes the
+            // bounds-checked slice ops on the caller's disjoint output
+            // rows. The AVX2 build of the kernel only widens the lanes the
             // compiler may use across *different* output elements; the
             // per-element operation sequence is unchanged and rustc never
             // contracts mul+add into FMA, so the result is bitwise
             // identical to the scalar build.
-            unsafe { saxpy_row_block_avx2(a_blk, b_blk, out_row, n, j0, j1) };
+            unsafe { tile_rows_avx2::<R, SKIP>(a, rows, out, j0, j1) };
             return;
         }
     }
-    saxpy_row_block_impl(a_blk, b_blk, out_row, n, j0, j1);
+    tile_rows_impl::<R, SKIP>(a, rows, out, j0, j1);
 }
 
 /// The tile kernel compiled with AVX2 codegen enabled, dispatched at
-/// runtime by [`saxpy_row_block`]. Same source, wider vectors.
+/// runtime by [`tile_rows`]. Same source, wider vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: `unsafe` only because of `#[target_feature]` — the body is the
-// safe `saxpy_row_block_impl`, whose every access is slice-indexed
-// (bounds-checked): `b_blk.chunks_exact(n)` never reads past `b_blk`, and
-// `out_row[j..j + TILE_J]` panics rather than overruns if a caller passes
-// an undersized row. The caller's only obligation is AVX2 support, checked
-// at the single dispatch site.
-unsafe fn saxpy_row_block_avx2(
-    a_blk: &[f64],
-    b_blk: &[f64],
-    out_row: &mut [f64],
-    n: usize,
+// safe `tile_rows_impl`, whose every access is slice-indexed
+// (bounds-checked): `out` is indexed with `q * n + j` for `q < R` and
+// `j < j1 <= n`, the panel rows through `chunks_exact`, and the `a`
+// segments come from the caller's disjoint row band, so no access can
+// alias another worker's rows. The caller's only obligation is AVX2
+// support, checked at the single dispatch site.
+unsafe fn tile_rows_avx2<const R: usize, const SKIP: bool>(
+    a: [&[f64]; R],
+    rows: PanelRows<'_>,
+    out: &mut [f64],
     j0: usize,
     j1: usize,
 ) {
-    saxpy_row_block_impl(a_blk, b_blk, out_row, n, j0, j1);
-}
-
-/// Rows processed together by the quad-row kernel. Four rows × [`TILE_J`]
-/// columns gives eight independent vector accumulator chains — enough to
-/// hide FP add latency on one core — and amortizes each `b` tile load over
-/// four rows.
-const TILE_R: usize = 4;
-
-/// Quad-row register-tiled update: `out4` holds [`TILE_R`] consecutive
-/// output rows (contiguous, stride `n`), `a_blks` the matching `k` segments
-/// of the four `a` rows. Each output element still accumulates in
-/// ascending-`k` order with the reference's zero skip — bitwise identical
-/// to four successive [`saxpy_row_block`] calls.
-#[inline]
-fn saxpy_quad_block(
-    a_blks: [&[f64]; TILE_R],
-    b_blk: &[f64],
-    out4: &mut [f64],
-    n: usize,
-    j0: usize,
-    j1: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just checked (std caches the CPUID
-            // probe), which discharges the `#[target_feature]` obligation —
-            // the callee body is safe code indexing only the caller's four
-            // disjoint-band output rows through bounds-checked slice ops;
-            // see `saxpy_row_block` for why codegen width cannot change the
-            // bits.
-            unsafe { saxpy_quad_block_avx2(a_blks, b_blk, out4, n, j0, j1) };
-            return;
-        }
-    }
-    saxpy_quad_block_impl(a_blks, b_blk, out4, n, j0, j1);
-}
-
-/// The quad-row kernel compiled with AVX2 codegen enabled, dispatched at
-/// runtime by [`saxpy_quad_block`]. Same source, wider vectors.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: `unsafe` only because of `#[target_feature]` — the body is the
-// safe `saxpy_quad_block_impl`: `out4` is indexed with `q * n + j` for
-// `q < TILE_R`, `j + TILE_J <= j1 <= n`, all through bounds-checked slice
-// ops, and the four `a_blks` rows come from the caller's disjoint row
-// band, so no access can alias another worker's rows. The caller's only
-// obligation is AVX2 support, checked at the single dispatch site.
-unsafe fn saxpy_quad_block_avx2(
-    a_blks: [&[f64]; TILE_R],
-    b_blk: &[f64],
-    out4: &mut [f64],
-    n: usize,
-    j0: usize,
-    j1: usize,
-) {
-    saxpy_quad_block_impl(a_blks, b_blk, out4, n, j0, j1);
+    tile_rows_impl::<R, SKIP>(a, rows, out, j0, j1);
 }
 
 #[inline(always)]
-fn saxpy_quad_block_impl(
-    a_blks: [&[f64]; TILE_R],
-    b_blk: &[f64],
-    out4: &mut [f64],
-    n: usize,
+fn tile_rows_impl<const R: usize, const SKIP: bool>(
+    a: [&[f64]; R],
+    rows: PanelRows<'_>,
+    out: &mut [f64],
     j0: usize,
     j1: usize,
 ) {
+    let n = rows.n;
     let mut j = j0;
     while j + TILE_J <= j1 {
-        let mut acc = [[0.0f64; TILE_J]; TILE_R];
+        let mut acc = [[0.0f64; TILE_J]; R];
         for (q, acc_q) in acc.iter_mut().enumerate() {
-            acc_q.copy_from_slice(&out4[q * n + j..q * n + j + TILE_J]);
+            acc_q.copy_from_slice(&out[q * n + j..q * n + j + TILE_J]);
         }
-        for (k, b_row) in b_blk.chunks_exact(n).enumerate() {
-            // lint: allow(panic) reason=the loop guard pins j + TILE_J <= j1 <= n, so the slice is exactly TILE_J long and the conversion cannot fail
-            let b: &[f64; TILE_J] = b_row[j..j + TILE_J].try_into().unwrap();
-            for (q, acc_q) in acc.iter_mut().enumerate() {
-                let aik = a_blks[q][k];
-                if aik == 0.0 {
-                    continue;
-                }
-                for t in 0..TILE_J {
-                    acc_q[t] += aik * b[t];
-                }
-            }
-        }
+        let b = rows
+            .data
+            .chunks_exact(n)
+            .map(|row| tile(&row[j..j + TILE_J]));
+        accumulate::<R, SKIP>(&a, b, &mut acc);
         for (q, acc_q) in acc.iter().enumerate() {
-            out4[q * n + j..q * n + j + TILE_J].copy_from_slice(acc_q);
+            out[q * n + j..q * n + j + TILE_J].copy_from_slice(acc_q);
         }
         j += TILE_J;
     }
     if j < j1 {
-        for (q, a_blk) in a_blks.iter().enumerate() {
-            for (&aik, b_row) in a_blk.iter().zip(b_blk.chunks_exact(n)) {
-                if aik == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in out4[q * n + j..q * n + j1].iter_mut().zip(&b_row[j..j1]) {
-                    *o += aik * bv;
-                }
-            }
+        debug_assert_eq!(j1, n, "only the last tile of a row is ragged");
+        // The ragged lanes pass through a staging tile, so the
+        // accumulators only ever see whole-tile copies and stay in
+        // registers like a full tile's.
+        let w = j1 - j;
+        let mut acc = [[0.0f64; TILE_J]; R];
+        let mut stage = [0.0f64; TILE_J];
+        for (q, acc_q) in acc.iter_mut().enumerate() {
+            stage[..w].copy_from_slice(&out[q * n + j..q * n + j1]);
+            *acc_q = stage;
+        }
+        accumulate::<R, SKIP>(&a, rows.tail.chunks_exact(TILE_J).map(tile), &mut acc);
+        for (q, acc_q) in acc.iter().enumerate() {
+            stage = *acc_q;
+            out[q * n + j..q * n + j1].copy_from_slice(&stage[..w]);
         }
     }
 }
 
+/// A [`TILE_J`]-long slice as a fixed-size view: one length check, then
+/// check-free indexing the compiler keeps entirely in vector registers.
 #[inline(always)]
-fn saxpy_row_block_impl(
-    a_blk: &[f64],
-    b_blk: &[f64],
-    out_row: &mut [f64],
-    n: usize,
-    j0: usize,
-    j1: usize,
+fn tile(s: &[f64]) -> &[f64; TILE_J] {
+    // lint: allow(panic) reason=every caller slices exactly TILE_J values (a full tile or a padded tail row), so the conversion cannot fail
+    s.try_into().unwrap()
+}
+
+/// The tile's inner loop: for each `k`, `acc[q] += a[q][k] · b_k` on all
+/// `R` rows, ascending in `k`.
+#[inline(always)]
+fn accumulate<'b, const R: usize, const SKIP: bool>(
+    a: &[&[f64]; R],
+    b: impl Iterator<Item = &'b [f64; TILE_J]>,
+    acc: &mut [[f64; TILE_J]; R],
 ) {
-    let mut j = j0;
-    while j + TILE_J <= j1 {
-        let mut acc = [0.0f64; TILE_J];
-        acc.copy_from_slice(&out_row[j..j + TILE_J]);
-        for (&aik, b_row) in a_blk.iter().zip(b_blk.chunks_exact(n)) {
-            if aik == 0.0 {
+    for (k, b) in b.enumerate() {
+        for (acc_q, a_q) in acc.iter_mut().zip(a) {
+            let aik = a_q[k];
+            if SKIP && aik == 0.0 {
                 continue;
             }
-            // Fixed-size view: one length check, then check-free indexing
-            // the compiler keeps entirely in vector registers.
-            // lint: allow(panic) reason=the loop guard pins j + TILE_J <= j1 <= n, so the slice is exactly TILE_J long and the conversion cannot fail
-            let b: &[f64; TILE_J] = b_row[j..j + TILE_J].try_into().unwrap();
             for t in 0..TILE_J {
-                acc[t] += aik * b[t];
-            }
-        }
-        out_row[j..j + TILE_J].copy_from_slice(&acc);
-        j += TILE_J;
-    }
-    if j < j1 {
-        for (&aik, b_row) in a_blk.iter().zip(b_blk.chunks_exact(n)) {
-            if aik == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row[j..j1].iter_mut().zip(&b_row[j..j1]) {
-                *o += aik * bv;
+                acc_q[t] += aik * b[t];
             }
         }
     }
@@ -587,13 +585,78 @@ fn maybe_poison_kernel_output(out: &mut DenseMatrix) {
     }
 }
 
+/// Whether a product of `m · k · n` multiply-adds is worth a pool region.
+fn parallel_for(m: usize, k: usize, n: usize) -> bool {
+    2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n) >= PAR_MIN_FLOPS
+}
+
+/// `out = a · panel` over row bands, `a` row-major `m × ka` and `panel`
+/// `ka × n`: the body shared by [`matmul_into`] and [`matmul_nt_into`].
+/// `k` blocks ascend, so per output element the accumulation order is the
+/// reference order for every band split.
+fn gemm_rows<const SKIP: bool>(
+    adata: &[f64],
+    ka: usize,
+    panel: &Panel<'_>,
+    out: &mut [f64],
+    pool: &ThreadPool,
+    parallel: bool,
+) {
+    let n = panel.n;
+    pool.for_each_row_band(out, n, parallel, |row0, band| {
+        band.fill(0.0);
+        if n == 0 {
+            return;
+        }
+        let rows_here = band.len() / n;
+        let mut k0 = 0;
+        while k0 < ka {
+            let k1 = (k0 + BLOCK_K).min(ka);
+            let a_seg = |r: usize| &adata[(row0 + r) * ka + k0..(row0 + r) * ka + k1];
+            tile_block::<SKIP>(a_seg, panel.rows(k0, k1), band, 0, rows_here);
+            k0 = k1;
+        }
+    });
+}
+
+/// One `k` block of a band: output rows `r0..r1` of `band` accumulate
+/// `a_seg(r) · rows` in `BLOCK_J`-wide column blocks of quad-row tiles
+/// (single-row tiles for the leftover rows).
+#[inline(always)]
+fn tile_block<'a, const SKIP: bool>(
+    a_seg: impl Fn(usize) -> &'a [f64],
+    rows: PanelRows<'_>,
+    band: &mut [f64],
+    r0: usize,
+    r1: usize,
+) {
+    let n = rows.n;
+    let mut j0 = 0;
+    while j0 < n {
+        let j1 = (j0 + BLOCK_J).min(n);
+        let mut r = r0;
+        while r + TILE_R <= r1 {
+            let quad = [a_seg(r), a_seg(r + 1), a_seg(r + 2), a_seg(r + 3)];
+            tile_rows::<TILE_R, SKIP>(quad, rows, &mut band[r * n..(r + TILE_R) * n], j0, j1);
+            r += TILE_R;
+        }
+        while r < r1 {
+            tile_rows::<1, SKIP>([a_seg(r)], rows, &mut band[r * n..(r + 1) * n], j0, j1);
+            r += 1;
+        }
+        j0 = j1;
+    }
+}
+
 /// Blocked, row-partitioned `out = a * b`.
 ///
 /// `out` is fully overwritten (no pre-zeroing needed). Bitwise identical to
 /// [`matmul_ref`] for every thread count: per output element the `k`
-/// accumulation runs in ascending order with the same `aik == 0.0` skip
-/// (adding `aik * b` for `aik == 0` is a bitwise no-op on a `+0.0`-seeded
-/// accumulator, so the skip never changes a bit).
+/// accumulation runs in ascending order. When `b` is all finite the
+/// reference's `aik == 0.0` skip is dropped — a bitwise no-op by the
+/// argument at [`all_finite`], and a branch real inputs (mostly-zero
+/// features) mispredict; a non-finite `b` keeps the skipping loop, so
+/// `0 · inf` never turns into a NaN the reference would not produce.
 ///
 /// # Panics
 /// Panics on shape mismatch between `a`, `b`, and `out`.
@@ -603,50 +666,13 @@ pub fn matmul_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix, pool
     let (kb, n) = b.shape();
     assert_eq!(ka, kb, "matmul dimension mismatch: {m}x{ka} * {kb}x{n}");
     assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
-    let parallel = 2usize
-        .saturating_mul(m)
-        .saturating_mul(ka)
-        .saturating_mul(n)
-        >= PAR_MIN_FLOPS;
-    let adata = a.as_slice();
-    let bdata = b.as_slice();
-    pool.for_each_row_band(out.as_mut_slice(), n, parallel, |row0, band| {
-        band.fill(0.0);
-        if n == 0 {
-            return;
-        }
-        let rows_here = band.len() / n;
-        let mut k0 = 0;
-        while k0 < ka {
-            let k1 = (k0 + BLOCK_K).min(ka);
-            let b_blk = &bdata[k0 * n..k1 * n];
-            let mut j0 = 0;
-            while j0 < n.max(1) {
-                let j1 = (j0 + BLOCK_J).min(n);
-                let a_blk = |r: usize| &adata[(row0 + r) * ka + k0..(row0 + r) * ka + k1];
-                let mut r = 0;
-                while r + TILE_R <= rows_here {
-                    let out4 = &mut band[r * n..(r + TILE_R) * n];
-                    saxpy_quad_block(
-                        [a_blk(r), a_blk(r + 1), a_blk(r + 2), a_blk(r + 3)],
-                        b_blk,
-                        out4,
-                        n,
-                        j0,
-                        j1,
-                    );
-                    r += TILE_R;
-                }
-                while r < rows_here {
-                    let out_row = &mut band[r * n..(r + 1) * n];
-                    saxpy_row_block(a_blk(r), b_blk, out_row, n, j0, j1);
-                    r += 1;
-                }
-                j0 = j1.max(j0 + 1);
-            }
-            k0 = k1;
-        }
-    });
+    let parallel = parallel_for(m, ka, n);
+    let panel = Panel::new(b.as_slice(), n);
+    if all_finite(b.as_slice()) {
+        gemm_rows::<false>(a.as_slice(), ka, &panel, out.as_mut_slice(), pool, parallel);
+    } else {
+        gemm_rows::<true>(a.as_slice(), ka, &panel, out.as_mut_slice(), pool, parallel);
+    }
     maybe_poison_kernel_output(out);
 }
 
@@ -654,10 +680,10 @@ pub fn matmul_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix, pool
 ///
 /// Each output row is a column of `a`; the column is gathered into a
 /// contiguous per-block buffer and fed to the same register-tiled kernel as
-/// [`matmul_into`]. Per output element accumulation stays ascending in `k`
-/// (blocks ascend, `k` ascends within a block) with the reference's zero
-/// skip, so results are bitwise identical to [`matmul_tn_ref`] for every
-/// thread count.
+/// [`matmul_into`], under the same finite-panel rule for the zero skip.
+/// Per output element accumulation stays ascending in `k` (blocks ascend,
+/// `k` ascends within a block), so results are bitwise identical to
+/// [`matmul_tn_ref`] for every thread count.
 ///
 /// # Panics
 /// Panics on shape mismatch.
@@ -667,20 +693,54 @@ pub fn matmul_tn_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix, p
     assert_eq!(m, b.rows(), "matmul_tn dimension mismatch");
     let n = b.cols();
     assert_eq!(out.shape(), (c, n), "matmul_tn output shape mismatch");
-    let parallel = 2usize.saturating_mul(m).saturating_mul(c).saturating_mul(n) >= PAR_MIN_FLOPS;
-    let adata = a.as_slice();
-    let bdata = b.as_slice();
-    pool.for_each_row_band(out.as_mut_slice(), n, parallel, |row0, band| {
+    let parallel = parallel_for(m, c, n);
+    let panel = Panel::new(b.as_slice(), n);
+    if all_finite(b.as_slice()) {
+        gemm_cols::<false>(
+            a.as_slice(),
+            (m, c),
+            &panel,
+            out.as_mut_slice(),
+            pool,
+            parallel,
+        );
+    } else {
+        gemm_cols::<true>(
+            a.as_slice(),
+            (m, c),
+            &panel,
+            out.as_mut_slice(),
+            pool,
+            parallel,
+        );
+    }
+}
+
+/// `out = aᵀ · panel` over row bands, `a` row-major `m × c`: the body of
+/// [`matmul_tn_into`].
+fn gemm_cols<const SKIP: bool>(
+    adata: &[f64],
+    (m, c): (usize, usize),
+    panel: &Panel<'_>,
+    out: &mut [f64],
+    pool: &ThreadPool,
+    parallel: bool,
+) {
+    let n = panel.n;
+    pool.for_each_row_band(out, n, parallel, |row0, band| {
         band.fill(0.0);
         if n == 0 {
             return;
         }
         let rows_here = band.len() / n;
+        // Gathered `a` columns, `TILE_J` at a time; each block reads only
+        // the first `kb` values of a column slot, all rewritten first.
+        let mut a_cols = [0.0f64; TILE_J * BLOCK_K];
         let mut k0 = 0;
         while k0 < m {
             let k1 = (k0 + BLOCK_K).min(m);
             let kb = k1 - k0;
-            let b_blk = &bdata[k0 * n..k1 * n];
+            let rows = panel.rows(k0, k1);
             let mut r0 = 0;
             while r0 < rows_here {
                 let r1 = (r0 + TILE_J).min(rows_here);
@@ -688,42 +748,14 @@ pub fn matmul_tn_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix, p
                 // one stride-`c` sweep — consecutive columns share cache
                 // lines, so the sweep costs the same line traffic as a
                 // single column.
-                let mut a_cols = [0.0f64; TILE_J * BLOCK_K];
                 for k in 0..kb {
                     let base = (k0 + k) * c + row0;
                     for (t, &v) in adata[base + r0..base + r1].iter().enumerate() {
                         a_cols[t * BLOCK_K + k] = v;
                     }
                 }
-                let a_col = |r: usize| &a_cols[(r - r0) * BLOCK_K..(r - r0) * BLOCK_K + kb];
-                let mut r = r0;
-                while r + TILE_R <= r1 {
-                    let out4 = &mut band[r * n..(r + TILE_R) * n];
-                    let mut j0 = 0;
-                    while j0 < n.max(1) {
-                        let j1 = (j0 + BLOCK_J).min(n);
-                        saxpy_quad_block(
-                            [a_col(r), a_col(r + 1), a_col(r + 2), a_col(r + 3)],
-                            b_blk,
-                            out4,
-                            n,
-                            j0,
-                            j1,
-                        );
-                        j0 = j1.max(j0 + 1);
-                    }
-                    r += TILE_R;
-                }
-                while r < r1 {
-                    let out_row = &mut band[r * n..(r + 1) * n];
-                    let mut j0 = 0;
-                    while j0 < n.max(1) {
-                        let j1 = (j0 + BLOCK_J).min(n);
-                        saxpy_row_block(a_col(r), b_blk, out_row, n, j0, j1);
-                        j0 = j1.max(j0 + 1);
-                    }
-                    r += 1;
-                }
+                let a_seg = |r: usize| &a_cols[(r - r0) * BLOCK_K..(r - r0) * BLOCK_K + kb];
+                tile_block::<SKIP>(a_seg, rows, band, r0, r1);
                 r0 = r1;
             }
             k0 = k1;
@@ -731,11 +763,14 @@ pub fn matmul_tn_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix, p
     });
 }
 
-/// Row-partitioned `out = a * b^T` without materializing the transpose.
+/// Row-partitioned `out = a * b^T`.
 ///
-/// Each output element is an independent ascending-`k` dot product exactly
-/// as in [`matmul_nt_ref`], so results are bitwise identical for every
-/// thread count.
+/// `b` is transposed once per call into a `c × r` panel, and the product
+/// runs as `a · bᵀ` on the same register-tiled row kernel as
+/// [`matmul_into`] — always *without* the zero skip, because
+/// [`matmul_nt_ref`] computes every product. Per output element that is
+/// the reference's ascending-`k` dot product from a `+0.0` start, so
+/// results are bitwise identical for every thread count.
 ///
 /// # Panics
 /// Panics on shape mismatch.
@@ -745,29 +780,10 @@ pub fn matmul_nt_into(a: &DenseMatrix, b: &DenseMatrix, out: &mut DenseMatrix, p
     assert_eq!(c, b.cols(), "matmul_nt dimension mismatch");
     let r2 = b.rows();
     assert_eq!(out.shape(), (m, r2), "matmul_nt output shape mismatch");
-    let parallel = 2usize
-        .saturating_mul(m)
-        .saturating_mul(c)
-        .saturating_mul(r2)
-        >= PAR_MIN_FLOPS;
-    let adata = a.as_slice();
-    let bdata = b.as_slice();
-    pool.for_each_row_band(out.as_mut_slice(), r2, parallel, |row0, band| {
-        if r2 == 0 {
-            return;
-        }
-        for (r, out_row) in band.chunks_mut(r2).enumerate() {
-            let a_row = &adata[(row0 + r) * c..(row0 + r) * c + c];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &bdata[j * c..(j + 1) * c];
-                let mut acc = 0.0;
-                for k in 0..c {
-                    acc += a_row[k] * b_row[k];
-                }
-                *o = acc;
-            }
-        }
-    });
+    let parallel = parallel_for(m, c, r2);
+    let bt = b.transpose();
+    let panel = Panel::new(bt.as_slice(), r2);
+    gemm_rows::<false>(a.as_slice(), c, &panel, out.as_mut_slice(), pool, parallel);
 }
 
 /// Row-partitioned sparse × dense `out = s * b`.

@@ -154,19 +154,20 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one complete JSON response and flushes. `keep_alive` selects
-/// the `Connection` header; the caller closes the stream when it said
-/// `close`. Best-effort: a peer that hung up mid-write is its own
-/// problem, not the server's.
+/// Writes one complete JSON response in a single write, then flushes.
+/// `keep_alive` selects the `Connection` header; the caller closes the
+/// stream when it said `close`. Head and body go out together so that a
+/// keep-alive response never leaves a small trailing segment for Nagle's
+/// algorithm to hold back behind the client's delayed ACK. Best-effort: a
+/// peer that hung up mid-write is its own problem, not the server's.
 pub fn write_response<W: Write>(stream: &mut W, status: u16, body: &str, keep_alive: bool) {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         reason(status),
         body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
 
@@ -278,6 +279,35 @@ mod tests {
         write_response(&mut out, 200, "{}", true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// Counts `write` calls; accepts every byte at once.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        for (status, body, keep) in [(200, "{\"ok\": true}", true), (404, "{}", false)] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, status, body, keep);
+            assert_eq!(out.writes, 1, "head and body must leave in one write");
+            let text = String::from_utf8(out.bytes).unwrap();
+            assert!(text.ends_with(&format!("\r\n\r\n{body}")), "{text}");
+        }
     }
 
     #[test]

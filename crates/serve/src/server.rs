@@ -143,6 +143,10 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
             break; // woken by the shutdown self-connect
         }
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        // Responses are single writes (`http::write_response`); without
+        // NODELAY, Nagle's algorithm could still hold one back until the
+        // client's delayed ACK on a keep-alive connection.
+        let _ = stream.set_nodelay(true);
         let state = Arc::clone(state);
         // Detached: the thread exits with its connection (bounded by the
         // read timeout), and on drain every keep-alive loop closes after
@@ -172,7 +176,8 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             method = request.method.as_str(),
             path = request.path.as_str()
         );
-        let keep = !request.close && !state.stopping();
+        let shutdown = request.method == "POST" && request.path == "/shutdown";
+        let keep = !request.close && !shutdown && !state.stopping();
         if let Some(id) = sse_target(&request) {
             if state.job_phase(id).is_some() {
                 drop(_span);
@@ -182,6 +187,12 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
         } else {
             let (status, body) = route(state, &request);
             http::write_response(&mut stream, status, &body, keep);
+        }
+        if shutdown {
+            // Only now, with the reply written: stopping lets the process
+            // drain and exit, which would kill this detached thread
+            // before a reply it had not yet written.
+            state.stop();
         }
         if !keep {
             return;
@@ -256,13 +267,11 @@ fn route(state: &Arc<ServerState>, request: &Request) -> (u16, String) {
         ),
         ("GET", "/jobs") => (200, state.jobs_json().to_pretty()),
         ("POST", "/jobs") => submit(state, &request.body),
-        ("POST", "/shutdown") => {
-            state.stop();
-            (
-                200,
-                Json::object([("ok".to_string(), Json::Bool(true))]).to_pretty(),
-            )
-        }
+        // The connection loop stops the server once this reply is out.
+        ("POST", "/shutdown") => (
+            200,
+            Json::object([("ok".to_string(), Json::Bool(true))]).to_pretty(),
+        ),
         (method, path) => match (method, path.strip_prefix("/jobs/")) {
             (_, None) => (404, error_body(&format!("no such endpoint {path}"))),
             (method, Some(tail)) => match tail.parse::<u64>() {

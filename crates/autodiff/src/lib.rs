@@ -13,8 +13,9 @@
 //!
 //! * GCN / linear-GCN forward passes (`matmul`, `spmm`, `relu`, bias,
 //!   dropout, softmax cross-entropy);
-//! * GAT attention (`add_outer`, `leaky_relu`, masked row softmax,
-//!   `concat_cols`);
+//! * GAT attention on the CSR pattern of `A + I`, with edge-valued
+//!   (`nnz × 1`) tensors: `edge_add_outer`, `leaky_relu`,
+//!   `edge_softmax_rows`, `edge_spmm`, and `concat_cols` for the heads;
 //! * attack objectives differentiated with respect to a **dense adjacency
 //!   variable** — the GCN normalization chain (`add_const`, `row_sum`,
 //!   `pow_scalar`, `scale_rows` / `scale_cols`) and the PEEGA

@@ -63,15 +63,19 @@ enum Op {
     ScaleCols(TensorId, TensorId),
     /// Row-wise softmax.
     SoftmaxRows(TensorId),
-    /// Row-wise softmax over entries where `mask != 0`; other entries are 0.
-    MaskedSoftmaxRows(TensorId, Rc<DenseMatrix>),
     /// Mean softmax cross-entropy of `logits` rows listed in `rows` against
     /// `labels` (full-length label vector).
     CrossEntropy(TensorId, Rc<Vec<usize>>, Rc<Vec<usize>>),
     /// `x ∘ mask` where the keep-probability scaling is baked into `mask`.
     Dropout(TensorId, Rc<DenseMatrix>),
-    /// `y[i][j] = s[i] + d[j]` from column tensors `s` (r×1), `d` (c×1).
-    AddOuter(TensorId, TensorId),
+    /// Edge values `e_k = s[i] + d[j]` for every stored entry `k = (i, j)`
+    /// of a constant CSR pattern, an `nnz × 1` column.
+    EdgeAddOuter(TensorId, TensorId, Rc<CsrMatrix>),
+    /// Softmax of edge values over the stored entries of each pattern row.
+    EdgeSoftmaxRows(TensorId, Rc<CsrMatrix>),
+    /// `S(α) @ B`: the pattern carrying the edge values `α` (kept for the
+    /// backward), times a dense `B`.
+    EdgeSpMM(TensorId, Rc<CsrMatrix>, TensorId),
     /// Horizontal concatenation.
     ConcatCols(Vec<TensorId>),
     /// Scalar `Σ_i ‖x[i,:]‖_p`.
@@ -176,7 +180,8 @@ impl Tape {
             | Op::Hadamard(a, b)
             | Op::ScaleRows(a, b)
             | Op::ScaleCols(a, b)
-            | Op::AddOuter(a, b)
+            | Op::EdgeAddOuter(a, b, _)
+            | Op::EdgeSpMM(a, _, b)
             | Op::AddBias(a, b) => self.is_const(*a) && self.is_const(*b),
             Op::SpMM(_, a)
             | Op::ScalarMul(a, _)
@@ -192,7 +197,7 @@ impl Tape {
             | Op::RowSum(a)
             | Op::SumAll(a)
             | Op::SoftmaxRows(a)
-            | Op::MaskedSoftmaxRows(a, _)
+            | Op::EdgeSoftmaxRows(a, _)
             | Op::CrossEntropy(a, _, _)
             | Op::Dropout(a, _)
             | Op::RowLpNormSum(a, _)
@@ -382,19 +387,6 @@ impl Tape {
         self.push(Op::SoftmaxRows(a), v)
     }
 
-    /// Row-wise softmax over entries where `mask != 0`; all-masked rows
-    /// yield zero rows.
-    pub fn masked_softmax_rows(&mut self, a: TensorId, mask: Rc<DenseMatrix>) -> TensorId {
-        let (r, c) = self.nodes[a.0].value.shape();
-        assert_eq!((r, c), mask.shape(), "mask shape mismatch");
-        let mut v = self.ctx.alloc_zeroed(r, c);
-        let x = &self.nodes[a.0].value;
-        for i in 0..r {
-            masked_softmax_slice(x.row(i), mask.row(i), v.row_mut(i));
-        }
-        self.push(Op::MaskedSoftmaxRows(a, mask), v)
-    }
-
     /// Mean softmax cross-entropy over the rows listed in `rows`:
     /// `-(1/|rows|) Σ_{r ∈ rows} log softmax(logits[r])[labels[r]]`.
     ///
@@ -442,21 +434,73 @@ impl Tape {
         self.push(Op::Dropout(a, mask), v)
     }
 
-    /// `y[i][j] = s[i] + d[j]` from column tensors `s` (r×1) and `d` (c×1).
-    pub fn add_outer(&mut self, s: TensorId, d: TensorId) -> TensorId {
-        let sv = &self.nodes[s.0].value;
-        let dv = &self.nodes[d.0].value;
-        assert_eq!(sv.cols(), 1, "add_outer: s must be a column");
-        assert_eq!(dv.cols(), 1, "add_outer: d must be a column");
-        let (r, c) = (sv.rows(), dv.rows());
-        let mut v = DenseMatrix::zeros(r, c);
-        for i in 0..r {
-            let si = sv.get(i, 0);
-            for j in 0..c {
-                v.set(i, j, si + dv.get(j, 0));
+    /// Edge-valued outer sum over a constant CSR `pattern`: `e_k = s[i] +
+    /// d[j]` for every stored entry `k = (i, j)`, as an `nnz × 1` column in
+    /// the pattern's row-major entry order. `s` is a `rows × 1` and `d` a
+    /// `cols × 1` column; the dense `y[i][j] = s[i] + d[j]` is evaluated
+    /// only where `pattern` stores an entry (GAT's attention logits on
+    /// `A + I`).
+    pub fn edge_add_outer(&mut self, s: TensorId, d: TensorId, pattern: Rc<CsrMatrix>) -> TensorId {
+        let sv = self.nodes[s.0].value.as_slice();
+        let dv = self.nodes[d.0].value.as_slice();
+        assert_eq!(
+            self.shape(s),
+            (pattern.rows(), 1),
+            "edge_add_outer: s shape"
+        );
+        assert_eq!(
+            self.shape(d),
+            (pattern.cols(), 1),
+            "edge_add_outer: d shape"
+        );
+        let mut v = self.ctx.alloc_zeroed(pattern.nnz(), 1);
+        let out = v.as_mut_slice();
+        let cols = pattern.col_indices();
+        for (&si, w) in sv.iter().zip(pattern.row_ptr().windows(2)) {
+            for k in w[0]..w[1] {
+                out[k] = si + dv[cols[k]];
             }
         }
-        self.push(Op::AddOuter(s, d), v)
+        self.push(Op::EdgeAddOuter(s, d, pattern), v)
+    }
+
+    /// Row-wise softmax of the edge values `e` (`nnz × 1`) over the stored
+    /// entries of each `pattern` row: the dense masked softmax with the
+    /// pattern as its mask. A row with no stored entry, or only `-∞` ones,
+    /// yields zeros.
+    pub fn edge_softmax_rows(&mut self, e: TensorId, pattern: Rc<CsrMatrix>) -> TensorId {
+        assert_eq!(
+            self.shape(e),
+            (pattern.nnz(), 1),
+            "edge_softmax_rows: e shape"
+        );
+        let mut v = self.ctx.alloc_zeroed(pattern.nnz(), 1);
+        let x = self.nodes[e.0].value.as_slice();
+        for w in pattern.row_ptr().windows(2) {
+            edge_softmax_slice(&x[w[0]..w[1]], &mut v.as_mut_slice()[w[0]..w[1]]);
+        }
+        self.push(Op::EdgeSoftmaxRows(e, pattern), v)
+    }
+
+    /// `S(α) @ b`: `pattern` carrying the edge values `alpha` (`nnz × 1`)
+    /// times a dense `b`, on the SpMM kernels. Bitwise the dense product
+    /// of `b` with an `α` that is zero off the pattern: when `b` is not all
+    /// finite, zero `α` entries are dropped first, as the dense kernel then
+    /// skips zero left-hand entries (`0 · inf` would be NaN).
+    pub fn edge_spmm(&mut self, alpha: TensorId, pattern: &CsrMatrix, b: TensorId) -> TensorId {
+        assert_eq!(
+            self.shape(alpha),
+            (pattern.nnz(), 1),
+            "edge_spmm: alpha shape"
+        );
+        let s = pattern.with_values(self.nodes[alpha.0].value.as_slice().to_vec());
+        let bv = &self.nodes[b.0].value;
+        let v = if bv.is_finite() {
+            self.ctx.spmm(&s, bv)
+        } else {
+            self.ctx.spmm(&s.without_zeros(), bv)
+        };
+        self.push(Op::EdgeSpMM(alpha, Rc::new(s), b), v)
     }
 
     /// Horizontal concatenation `[a₀ | a₁ | …]`.
@@ -757,22 +801,17 @@ impl Tape {
                     }
                     Delta::One(*a, d)
                 }
-                Op::MaskedSoftmaxRows(a, mask) => {
-                    let y = &node.value;
-                    let mut d = ctx.alloc_zeroed(y.rows(), y.cols());
-                    for i in 0..y.rows() {
-                        let yr = y.row(i);
-                        let gr = g.row(i);
-                        let mr = mask.row(i);
-                        let dot: f64 = yr
-                            .iter()
-                            .zip(gr.iter().zip(mr))
-                            .map(|(&yy, (&gg, &mm))| if mm != 0.0 { yy * gg } else { 0.0 })
-                            .sum();
-                        for (j, dv) in d.row_mut(i).iter_mut().enumerate() {
-                            if mr[j] != 0.0 {
-                                *dv = yr[j] * (gr[j] - dot);
-                            }
+                Op::EdgeSoftmaxRows(a, pattern) => {
+                    let (y, gs) = (node.value.as_slice(), g.as_slice());
+                    let mut d = ctx.alloc_zeroed(y.len(), 1);
+                    let ds = d.as_mut_slice();
+                    for w in pattern.row_ptr().windows(2) {
+                        let mut dot = row_sum_start(w[1] - w[0], pattern.cols());
+                        for k in w[0]..w[1] {
+                            dot += y[k] * gs[k];
+                        }
+                        for k in w[0]..w[1] {
+                            ds[k] = y[k] * (gs[k] - dot);
                         }
                     }
                     Delta::One(*a, d)
@@ -793,18 +832,66 @@ impl Tape {
                     Delta::One(*logits, d)
                 }
                 Op::Dropout(a, mask) => Delta::One(*a, ctx.binary(g, mask, |x, y| x * y)),
-                Op::AddOuter(s, d) => Delta::Two(
-                    *s,
-                    live(s).then(|| {
-                        let rs = g.row_sums();
-                        DenseMatrix::from_vec(rs.len(), 1, rs)
-                    }),
-                    *d,
-                    live(d).then(|| {
-                        let cs = g.col_sums();
-                        DenseMatrix::from_vec(cs.len(), 1, cs)
-                    }),
-                ),
+                Op::EdgeAddOuter(s, d, pattern) => {
+                    let gs = g.as_slice();
+                    let ds = live(s).then(|| {
+                        let mut ds = ctx.alloc_zeroed(pattern.rows(), 1);
+                        for (o, w) in ds
+                            .as_mut_slice()
+                            .iter_mut()
+                            .zip(pattern.row_ptr().windows(2))
+                        {
+                            *o = row_sum_start(w[1] - w[0], pattern.cols());
+                            for &gk in &gs[w[0]..w[1]] {
+                                *o += gk;
+                            }
+                        }
+                        ds
+                    });
+                    // Column sums from `+0.0`, rows ascending: the order of
+                    // `DenseMatrix::col_sums`, whose off-pattern `+0.0`
+                    // terms never meet a `-0.0` partial sum.
+                    let dd = live(d).then(|| {
+                        let mut dd = ctx.alloc_zeroed(pattern.cols(), 1);
+                        let out = dd.as_mut_slice();
+                        for (&j, &gk) in pattern.col_indices().iter().zip(gs) {
+                            out[j] += gk;
+                        }
+                        dd
+                    });
+                    Delta::Two(*s, ds, *d, dd)
+                }
+                Op::EdgeSpMM(alpha, s, b) => {
+                    let bv = &self.nodes[b.0].value;
+                    // ∂/∂α_k for the entry `(i, j)` is `g[i,:] · b[j,:]`,
+                    // ascending from `+0.0`: element `(i, j)` of the dense
+                    // `g · bᵀ` (`matmul_nt`), computed only where stored.
+                    let da = live(alpha).then(|| {
+                        let mut da = ctx.alloc_zeroed(s.nnz(), 1);
+                        let out = da.as_mut_slice();
+                        let cols = s.col_indices();
+                        for (i, w) in s.row_ptr().windows(2).enumerate() {
+                            let gi = g.row(i);
+                            for k in w[0]..w[1] {
+                                let mut acc = 0.0;
+                                for (&x, &y) in gi.iter().zip(bv.row(cols[k])) {
+                                    acc += x * y;
+                                }
+                                out[k] = acc;
+                            }
+                        }
+                        da
+                    });
+                    // `S(α)ᵀ · g` under the forward's finite-operand rule.
+                    let db = live(b).then(|| {
+                        if g.is_finite() {
+                            ctx.spmm_t(s, g)
+                        } else {
+                            ctx.spmm_t(&s.without_zeros(), g)
+                        }
+                    });
+                    Delta::Two(*alpha, da, *b, db)
+                }
                 Op::ConcatCols(parts) => {
                     let mut deltas = Vec::with_capacity(parts.len());
                     let mut off = 0;
@@ -889,7 +976,7 @@ impl Tape {
 /// In-place softmax of a slice (numerically stabilized).
 ///
 /// A row of all `-∞` (no admissible entry) produces an **all-zero row**,
-/// uniform with [`masked_softmax_slice`]'s all-masked convention — not NaN,
+/// uniform with [`edge_softmax_slice`]'s empty-row convention — not NaN,
 /// which `exp(-∞ − -∞)` would otherwise yield. The zero row also backprops
 /// a zero (not NaN) gradient, since the softmax Jacobian vanishes with the
 /// outputs.
@@ -911,30 +998,38 @@ fn softmax_slice(row: &mut [f64]) {
     }
 }
 
-/// Masked softmax: `out[j] = exp(x[j]) / Σ_{mask} exp(x[k])` on masked
-/// entries, 0 elsewhere. All-masked rows produce all zeros.
-fn masked_softmax_slice(x: &[f64], mask: &[f64], out: &mut [f64]) {
-    let mut max = f64::NEG_INFINITY;
-    for (v, &m) in x.iter().zip(mask) {
-        if m != 0.0 {
-            max = max.max(*v);
-        }
-    }
+/// Softmax of one pattern row's stored entries, `out[k] = exp(x[k]) /
+/// Σ exp(x[k'])` (max-stabilized). A row without an entry above `-∞`
+/// (empty, or all `-∞`) is all zeros. The sum is divided by
+/// unconditionally, so a row whose sum is NaN is all NaN.
+fn edge_softmax_slice(x: &[f64], out: &mut [f64]) {
+    let max = x.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
     if max == f64::NEG_INFINITY {
-        out.iter_mut().for_each(|o| *o = 0.0);
+        out.fill(0.0);
         return;
     }
     let mut sum = 0.0;
-    for ((o, &v), &m) in out.iter_mut().zip(x).zip(mask) {
-        if m != 0.0 {
-            *o = (v - max).exp();
-            sum += *o;
-        } else {
-            *o = 0.0;
-        }
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = (v - max).exp();
+        sum += *o;
     }
     for o in out.iter_mut() {
         *o /= sum;
+    }
+}
+
+/// Start value of a sum over one pattern row's stored entries that equals,
+/// bit for bit, the dense sum over the whole row with `+0.0` off the
+/// pattern. `Iterator::sum` folds from `-0.0`, and the first off-pattern
+/// `+0.0` turns a `-0.0` partial sum into `+0.0` for good (a sum is `-0.0`
+/// only when both addends are), so the sum over stored entries starts at
+/// `+0.0` when the row misses a column and at `-0.0` when it stores all
+/// `cols`.
+fn row_sum_start(stored: usize, cols: usize) -> f64 {
+    if stored < cols {
+        0.0
+    } else {
+        -0.0
     }
 }
 
@@ -1032,14 +1127,18 @@ mod tests {
         }
     }
 
+    /// The pattern is the mask: `edge_softmax_rows` normalizes over a
+    /// row's stored entries only, so the off-pattern 100 never competes.
     #[test]
     fn masked_softmax_ignores_masked_entries() {
         let mut t = Tape::new();
-        let x = t.var(DenseMatrix::from_rows(&[&[1.0, 100.0, 1.0]]));
-        let mask = Rc::new(DenseMatrix::from_rows(&[&[1.0, 0.0, 1.0]]));
-        let y = t.masked_softmax_rows(x, mask);
-        assert_eq!(t.value(y).get(0, 1), 0.0);
-        assert!((t.value(y).get(0, 0) - 0.5).abs() < 1e-12);
+        let pattern = Rc::new(CsrMatrix::from_triplets(1, 3, [(0, 0, 1.0), (0, 2, 1.0)]));
+        let d = t.var(DenseMatrix::from_rows(&[&[1.0], &[100.0], &[1.0]]));
+        let s = t.constant(DenseMatrix::zeros(1, 1));
+        let e = t.edge_add_outer(s, d, Rc::clone(&pattern));
+        assert_eq!(t.value(e).as_slice(), &[1.0, 1.0], "only stored entries");
+        let y = t.edge_softmax_rows(e, pattern);
+        assert_eq!(t.value(y).as_slice(), &[0.5, 0.5]);
     }
 
     /// A row of all `-∞` logits (every entry inadmissible) must yield an
@@ -1065,21 +1164,31 @@ mod tests {
         }
     }
 
-    /// All-masked (empty-mask) rows of the masked softmax: zero row and
-    /// zero backprop gradient, no NaN anywhere.
+    /// Rows of the edge softmax with nothing admissible — an empty pattern
+    /// row (an all-masked row of the masked softmax) and a row of `-∞`
+    /// logits: zero weights, a zero aggregate and a zero gradient, no NaN
+    /// anywhere.
     #[test]
     fn masked_softmax_empty_mask_row_is_zero_with_zero_gradient() {
+        let inf = f64::NEG_INFINITY;
         let mut t = Tape::new();
-        let x = t.var(DenseMatrix::from_rows(&[&[5.0, 1.0], &[2.0, 3.0]]));
-        let mask = Rc::new(DenseMatrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]));
-        let y = t.masked_softmax_rows(x, mask);
-        assert_eq!(t.value(y).row(0), &[0.0, 0.0]);
-        let row1_sum: f64 = t.value(y).row(1).iter().sum();
-        assert!((row1_sum - 1.0).abs() < 1e-12);
-        let s = t.sum_all(y);
+        let pattern = Rc::new(CsrMatrix::from_triplets(
+            3,
+            2,
+            [(1, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0), (2, 1, 1.0)],
+        ));
+        let x = t.var(DenseMatrix::from_rows(&[&[2.0], &[3.0], &[inf], &[inf]]));
+        let y = t.edge_softmax_rows(x, Rc::clone(&pattern));
+        assert!((t.value(y).get(0, 0) + t.value(y).get(1, 0) - 1.0).abs() < 1e-12);
+        assert_eq!(&t.value(y).as_slice()[2..], &[0.0, 0.0], "-∞ row");
+        let b = t.constant(DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let out = t.edge_spmm(y, &pattern, b);
+        assert_eq!(t.value(out).row(0), &[0.0, 0.0], "empty row");
+        assert_eq!(t.value(out).row(2), &[0.0, 0.0], "-∞ row");
+        let s = t.sum_all(out);
         t.backward(s);
         let g = t.grad(x).unwrap();
-        assert_eq!(g.row(0), &[0.0, 0.0], "empty-mask row ⇒ zero gradient");
+        assert_eq!(&g.as_slice()[2..], &[0.0, 0.0], "-∞ row ⇒ zero gradient");
         for v in g.as_slice() {
             assert!(v.is_finite(), "gradient contains a non-finite value");
         }

@@ -13,6 +13,11 @@ fn m(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::uniform(rows, cols, 1.0, seed)
 }
 
+/// A CSR pattern with unit values on the nonzeros of `rows`.
+fn pattern(rows: &[&[f64]]) -> Rc<CsrMatrix> {
+    Rc::new(CsrMatrix::from_dense(&DenseMatrix::from_rows(rows), 0.0))
+}
+
 /// Strictly positive matrix (for ln / fractional powers).
 fn m_pos(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::uniform(rows, cols, 1.0, seed).map(|x| x.abs() + 0.5)
@@ -147,15 +152,17 @@ fn grad_softmax_rows() {
     });
 }
 
+/// The masked row softmax, on edge values over a CSR pattern (the mask).
 #[test]
 fn grad_masked_softmax_rows() {
-    let mask = Rc::new(DenseMatrix::from_rows(&[
+    let mask = pattern(&[
         &[1.0, 0.0, 1.0, 1.0],
         &[0.0, 1.0, 1.0, 0.0],
         &[1.0, 1.0, 1.0, 1.0],
-    ]));
-    assert_gradients(&[m(3, 4, 20), m(3, 4, 21)], TOL, move |t, ids| {
-        let y = t.masked_softmax_rows(ids[0], Rc::clone(&mask));
+    ]);
+    let nnz = mask.nnz();
+    assert_gradients(&[m(nnz, 1, 20), m(nnz, 1, 21)], TOL, move |t, ids| {
+        let y = t.edge_softmax_rows(ids[0], Rc::clone(&mask));
         let w = t.hadamard(y, ids[1]);
         t.sum_all(w)
     });
@@ -170,10 +177,34 @@ fn grad_cross_entropy() {
     });
 }
 
+/// The outer sum `s[i] + d[j]` on the entries of a pattern with a full
+/// row, a row with gaps and an empty row.
 #[test]
 fn grad_add_outer() {
-    assert_gradients(&[m(3, 1, 23), m(4, 1, 24)], TOL, |t, ids| {
-        let y = t.add_outer(ids[0], ids[1]);
+    let p = pattern(&[
+        &[1.0, 1.0, 1.0, 1.0],
+        &[0.0, 1.0, 0.0, 1.0],
+        &[0.0, 0.0, 0.0, 0.0],
+    ]);
+    assert_gradients(&[m(3, 1, 23), m(4, 1, 24)], TOL, move |t, ids| {
+        let y = t.edge_add_outer(ids[0], ids[1], Rc::clone(&p));
+        let sq = t.hadamard(y, y);
+        t.sum_all(sq)
+    });
+}
+
+/// `S(α) B` with respect to both the edge values and the dense operand.
+#[test]
+fn grad_edge_spmm() {
+    let p = pattern(&[
+        &[1.0, 0.0, 1.0],
+        &[0.0, 0.0, 0.0],
+        &[1.0, 1.0, 1.0],
+        &[0.0, 1.0, 0.0],
+    ]);
+    let nnz = p.nnz();
+    assert_gradients(&[m(nnz, 1, 46), m(3, 2, 47)], TOL, move |t, ids| {
+        let y = t.edge_spmm(ids[0], &p, ids[1]);
         let sq = t.hadamard(y, y);
         t.sum_all(sq)
     });
@@ -276,17 +307,17 @@ fn grad_through_gcn_normalization_chain() {
     });
 }
 
-/// End-to-end composite: the GAT attention path — add_outer, leaky-relu,
-/// masked row softmax, and aggregation — differentiated with respect to the
-/// head weights, exactly as `bbgnn_gnn::gat` builds it.
+/// End-to-end composite: the GAT attention path — edge outer sum,
+/// leaky-relu, edge row softmax, and aggregation — differentiated with
+/// respect to the head weights, exactly as `bbgnn_gnn::gat` builds it.
 #[test]
 fn grad_through_gat_attention_path() {
-    let mask = Rc::new(DenseMatrix::from_rows(&[
+    let mask = pattern(&[
         &[1.0, 1.0, 0.0, 1.0],
         &[1.0, 1.0, 1.0, 0.0],
         &[0.0, 1.0, 1.0, 0.0],
         &[1.0, 0.0, 0.0, 1.0],
-    ]));
+    ]);
     let x = Rc::new(m(4, 3, 40));
     let labels = Rc::new(vec![0, 1, 0, 1]);
     let rows = Rc::new(vec![0, 1, 2, 3]);
@@ -299,10 +330,10 @@ fn grad_through_gat_attention_path() {
             let hw = t.matmul(xc, ids[0]);
             let src = t.matmul(hw, ids[1]);
             let dst = t.matmul(hw, ids[2]);
-            let e = t.add_outer(src, dst);
+            let e = t.edge_add_outer(src, dst, Rc::clone(&mask));
             let e = t.leaky_relu(e, 0.2);
-            let alpha = t.masked_softmax_rows(e, Rc::clone(&mask));
-            let out = t.matmul(alpha, hw);
+            let alpha = t.edge_softmax_rows(e, Rc::clone(&mask));
+            let out = t.edge_spmm(alpha, &mask, hw);
             t.cross_entropy(out, Rc::clone(&labels), Rc::clone(&rows))
         },
     );

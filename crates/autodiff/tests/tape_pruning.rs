@@ -35,6 +35,19 @@ fn mixed_graph(t: &mut Tape, consts_as_vars: bool) -> (TensorId, Vec<TensorId>) 
     let s_rows = leaf(t, DenseMatrix::uniform(6, 1, 1.0, 2));
     let shift = leaf(t, DenseMatrix::uniform(6, 4, 1.0, 3));
     let col = leaf(t, DenseMatrix::uniform(6, 1, 1.0, 4));
+    let att_pattern = Rc::new(CsrMatrix::from_triplets(
+        6,
+        3,
+        [
+            (0, 0, 1.0),
+            (0, 1, 1.0),
+            (0, 2, 1.0),
+            (1, 1, 1.0),
+            (3, 0, 1.0),
+            (3, 2, 1.0),
+            (5, 2, 1.0),
+        ],
+    ));
     let proj = leaf(t, DenseMatrix::uniform(3, 3, 1.0, 5));
     let w0 = t.var(DenseMatrix::uniform(5, 4, 1.0, 6));
     let s_cols = t.var(DenseMatrix::uniform(4, 1, 1.0, 7));
@@ -66,7 +79,9 @@ fn mixed_graph(t: &mut Tape, consts_as_vars: bool) -> (TensorId, Vec<TensorId>) 
     let cat = t.concat_cols(&[h, shift]);
     let logits = t.matmul(cat, w_cat);
     let logits = t.add_bias(logits, bias);
-    let att = t.add_outer(col, d);
+    let att = t.edge_add_outer(col, d, Rc::clone(&att_pattern)); // constant × variable
+    let att = t.edge_softmax_rows(att, Rc::clone(&att_pattern));
+    let att = t.edge_spmm(att, &att_pattern, proj); // variable × constant
     let logits = t.add(logits, att);
     let logits = t.matmul(logits, proj); // variable × constant
     let loss = t.cross_entropy(

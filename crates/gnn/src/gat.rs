@@ -1,23 +1,26 @@
-//! Graph attention network (Veličković et al.) with dense masked attention.
+//! Graph attention network (Veličković et al.) with edge-sparse attention.
 //!
 //! Each layer computes, per head, `e_{uv} = LeakyReLU(a_s·Wh_u + a_d·Wh_v)`
-//! on the edges of `A + I`, normalizes with a masked row softmax, and
-//! aggregates `h'_u = Σ_v α_{uv} W h_v`. The hidden layer concatenates its
-//! heads; the output layer is a **single** attention head mapping the
-//! concatenated `hidden_per_head × heads` features to class logits (its
-//! `W_o` is `hidden_per_head·heads × classes`). This differs from the
-//! original paper's multi-head-averaged output layer — one output head
-//! over concatenated features is the simpler arrangement this workspace
-//! uses; see `init_params` for the exact parameter layout. Attention is
-//! materialized as a dense `n × n` matrix, which is fine at the graph
-//! sizes this workspace targets and keeps the whole model on the autodiff
-//! tape.
+//! on the edges of `A + I`, normalizes with a softmax over each row's
+//! edges, and aggregates `h'_u = Σ_v α_{uv} W h_v`. The hidden layer
+//! concatenates its heads; the output layer is a **single** attention head
+//! mapping the concatenated `hidden_per_head × heads` features to class
+//! logits (its `W_o` is `hidden_per_head·heads × classes`). This differs
+//! from the original paper's multi-head-averaged output layer — one output
+//! head over concatenated features is the simpler arrangement this
+//! workspace uses; see `init_params` for the exact parameter layout.
+//!
+//! Attention lives only on the CSR pattern of `A + I`: logits, weights and
+//! their gradients are edge-valued (`nnz × 1`) tape tensors, and the
+//! aggregation runs on the SpMM kernels, so no `n × n` buffer is
+//! allocated. The edge ops reproduce the dense masked-attention chain bit
+//! for bit (DESIGN.md §7).
 
 use crate::train::{train_node_classifier_keyed, Mode, TrainConfig, TrainReport};
 use crate::NodeClassifier;
 use bbgnn_autodiff::{Tape, TensorId};
 use bbgnn_graph::Graph;
-use bbgnn_linalg::DenseMatrix;
+use bbgnn_linalg::{CsrMatrix, DenseMatrix};
 use std::rc::Rc;
 
 /// Two-layer GAT. The paper's baseline configuration is 8 hidden units per
@@ -92,7 +95,8 @@ impl Gat {
         params
     }
 
-    /// One attention head: returns `α (X W)` for the masked attention `α`.
+    /// One attention head: returns `S(α) (X W)` for the attention weights
+    /// `α` on the stored entries of `mask`.
     fn attention_head(
         &self,
         tape: &mut Tape,
@@ -100,22 +104,22 @@ impl Gat {
         w: TensorId,
         a_src: TensorId,
         a_dst: TensorId,
-        mask: &Rc<DenseMatrix>,
+        mask: &Rc<CsrMatrix>,
     ) -> TensorId {
         let hw = tape.matmul(h, w);
         let src = tape.matmul(hw, a_src); // n × 1
         let dst = tape.matmul(hw, a_dst); // n × 1
-        let e = tape.add_outer(src, dst); // n × n
+        let e = tape.edge_add_outer(src, dst, Rc::clone(mask)); // nnz × 1
         let e = tape.leaky_relu(e, self.neg_slope);
-        let alpha = tape.masked_softmax_rows(e, Rc::clone(mask));
-        tape.matmul(alpha, hw)
+        let alpha = tape.edge_softmax_rows(e, Rc::clone(mask));
+        tape.edge_spmm(alpha, mask, hw)
     }
 
     fn forward(
         &self,
         tape: &mut Tape,
         params: &[DenseMatrix],
-        mask: &Rc<DenseMatrix>,
+        mask: &Rc<CsrMatrix>,
         x: &DenseMatrix,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
@@ -150,12 +154,9 @@ impl Gat {
         (logits, ids)
     }
 
-    fn attention_mask(g: &Graph) -> Rc<DenseMatrix> {
-        let mut mask = g.adjacency_dense();
-        for i in 0..mask.rows() {
-            mask.set(i, i, 1.0);
-        }
-        Rc::new(mask)
+    /// The attention pattern: the stored entries of `A + I`.
+    fn attention_mask(g: &Graph) -> Rc<CsrMatrix> {
+        Rc::new(g.adjacency_csr().add_identity(1.0))
     }
 
     /// Logits for `g` with the trained parameters.

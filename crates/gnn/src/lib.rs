@@ -4,8 +4,8 @@
 //!
 //! * [`gcn::Gcn`] — the Kipf–Welling graph convolutional network
 //!   (Eq. 1–2 of the paper), configurable depth;
-//! * [`gat::Gat`] — the graph attention network baseline with dense masked
-//!   attention;
+//! * [`gat::Gat`] — the graph attention network baseline, with attention
+//!   on the edges of `A + I`;
 //! * [`linear_gcn::LinearGcn`] — the `A_nᴸ X W` linear surrogate used by
 //!   the PEEGA derivation (Eq. 7) and by Metattack;
 //! * [`train`] — the shared full-batch Adam training loop with

@@ -85,8 +85,8 @@ pub fn env_threads() -> usize {
 
 /// Deterministic `fault/pool_panic` injection site (DESIGN.md §11): run as
 /// the first statement of every spawned pool worker. When the installed
-/// fault plan says this invocation fires, the worker panics — the panic
-/// propagates through `thread::scope` to the calling thread, where the
+/// fault plan says this invocation fires, the worker panics — the region
+/// re-raises that payload on the calling thread ([`join_all`]), where the
 /// harness's cell boundary converts it to `ExperimentAborted` (never a
 /// hang). One relaxed load when no fault plan is installed.
 #[inline]
@@ -162,16 +162,21 @@ impl ThreadPool {
         let supervision = bbgnn_supervise::current_scope();
         let band = rows.div_ceil(workers);
         std::thread::scope(|scope| {
-            for (b, chunk) in out.chunks_mut(band * row_len).enumerate() {
-                let body = &body;
-                let supervision = supervision.as_ref();
-                scope.spawn(move || {
-                    maybe_injected_worker_panic();
-                    let _scope = supervision.map(bbgnn_supervise::enter);
-                    let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
-                    body(b * band, chunk)
-                });
-            }
+            let handles: Vec<_> = out
+                .chunks_mut(band * row_len)
+                .enumerate()
+                .map(|(b, chunk)| {
+                    let body = &body;
+                    let supervision = supervision.as_ref();
+                    scope.spawn(move || {
+                        maybe_injected_worker_panic();
+                        let _scope = supervision.map(bbgnn_supervise::enter);
+                        let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
+                        body(b * band, chunk)
+                    })
+                })
+                .collect();
+            join_all(handles);
         });
         drop(region);
     }
@@ -256,16 +261,35 @@ impl ThreadPool {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                // lint: allow(panic) reason=a worker panic is already a bug in the map closure; re-raising on the caller thread is the only sound option (a default value would silently poison the deterministic fold)
-                .map(|h| h.join().expect("kernel worker panicked"))
-                .collect()
+            join_all(handles)
         });
         let mut it = parts.into_iter();
         let first = it.next()?;
         Some(it.fold(first, &mut fold))
     }
+}
+
+/// Joins every worker of a region and returns their results in spawn
+/// order. The explicit join makes a region return only after each worker's
+/// thread-locals are destroyed — `thread::scope`'s implicit join returns
+/// when the closures finish, before the obs counters and kernel timers in
+/// those thread-locals drain. A failed worker's own panic payload is
+/// re-raised on the caller once all are joined.
+fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    let mut results = Vec::with_capacity(handles.len());
+    let mut failure = None;
+    for h in handles {
+        match h.join() {
+            Ok(v) => results.push(v),
+            Err(payload) => {
+                failure.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = failure {
+        std::panic::resume_unwind(payload);
+    }
+    results
 }
 
 impl Default for ThreadPool {
@@ -1227,6 +1251,35 @@ mod tests {
             )
             .flatten();
         assert_eq!(par, seq);
+    }
+
+    /// A worker's counters drain from its thread-locals when the thread
+    /// exits; a region must not return before that, or they land after the
+    /// region (and possibly after the enclosing span or the trace) closed.
+    #[test]
+    fn worker_counters_are_drained_when_a_region_returns() {
+        use bbgnn_obs::live;
+        let count = || {
+            live::snapshot()
+                .into_iter()
+                .find(|&(name, _)| name == "test/pool_band")
+                .map_or(0, |(_, v)| v)
+        };
+        live::enable();
+        let pool = ThreadPool::new(2);
+        let mut out = vec![0.0; 16];
+        let before = count();
+        for region in 1..=200u64 {
+            pool.for_each_row_band(&mut out, 8, true, |_, _| {
+                bbgnn_obs::counter("test/pool_band", 1)
+            });
+            assert_eq!(
+                count() - before,
+                2 * region,
+                "region {region}: a worker drained after the region returned"
+            );
+        }
+        live::disable();
     }
 
     #[test]

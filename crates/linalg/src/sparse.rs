@@ -192,6 +192,52 @@ impl CsrMatrix {
         h.finish()
     }
 
+    /// A matrix with `self`'s sparsity pattern and new stored `values`,
+    /// one per stored entry in row-major order. This is how an
+    /// edge-valued tensor (GAT's attention weights over the `A + I`
+    /// pattern) reaches the SpMM kernels.
+    ///
+    /// # Panics
+    /// Panics if `values.len() != self.nnz()`.
+    pub fn with_values(&self, values: Vec<f64>) -> CsrMatrix {
+        assert_eq!(
+            values.len(),
+            self.nnz(),
+            "with_values: one value per stored entry"
+        );
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values,
+        }
+    }
+
+    /// `self` without its stored zeros (`+0.0` and `-0.0`): the entries a
+    /// dense product skips when its other operand is not all finite (see
+    /// [`crate::kernels::matmul_into`]).
+    pub fn without_zeros(&self) -> CsrMatrix {
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for i in 0..self.rows {
+            for (j, v) in self.row_iter(i).filter(|&(_, v)| v != 0.0) {
+                col_idx.push(j);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Iterator over `(col, value)` pairs of row `i`.
     pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let lo = self.row_ptr[i];
@@ -225,29 +271,6 @@ impl CsrMatrix {
         let mut out = DenseMatrix::zeros(self.rows, rhs.cols());
         let pool = crate::kernels::ThreadPool::default();
         crate::kernels::spmm_into(self, rhs, &mut out, &pool);
-        out
-    }
-
-    /// Sparse × dense product with the transpose of `self`: `self^T * rhs`.
-    ///
-    /// Sequential by design — the scatter by column index cannot be
-    /// row-partitioned without breaking the bitwise determinism contract
-    /// (see [`crate::kernels::spmm_t_into`]).
-    pub fn spmm_t(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.rows, rhs.rows(), "spmm_t dimension mismatch");
-        let n = rhs.cols();
-        let mut out = DenseMatrix::zeros(self.cols, n);
-        for i in 0..self.rows {
-            let b_row = rhs.row(i);
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let v = self.values[k];
-                let c = self.col_idx[k];
-                let out_row = &mut out.as_mut_slice()[c * n..(c + 1) * n];
-                for j in 0..n {
-                    out_row[j] += v * b_row[j];
-                }
-            }
-        }
         out
     }
 
@@ -395,14 +418,20 @@ mod tests {
     }
 
     #[test]
-    fn spmm_t_matches_dense_transpose() {
-        let m = CsrMatrix::from_triplets(2, 3, vec![(0, 0, 2.0), (0, 2, 1.0), (1, 1, -1.0)]);
-        let x = DenseMatrix::uniform(2, 4, 1.0, 5);
-        assert!(
-            m.spmm_t(&x)
-                .max_abs_diff(&m.to_dense().transpose().matmul(&x))
-                < 1e-12
+    fn with_values_keeps_the_pattern_and_without_zeros_drops_stored_zeros() {
+        let m = small();
+        let w = m.with_values(vec![2.0, 0.0, -0.0, 3.0]);
+        assert_eq!(w.row_ptr(), m.row_ptr());
+        assert_eq!(w.col_indices(), m.col_indices());
+        assert_eq!(w.values(), &[2.0, 0.0, -0.0, 3.0]);
+        let nz = w.without_zeros();
+        assert_eq!(nz.values(), &[2.0, 3.0]);
+        assert_eq!(
+            nz.row_cols(1),
+            &[] as &[usize],
+            "both of row 1's entries were zeros"
         );
+        assert_eq!(nz.to_dense(), w.to_dense());
     }
 
     #[test]

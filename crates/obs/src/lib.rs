@@ -721,10 +721,14 @@ mod tests {
     fn worker_threads_drain_counters_on_exit() {
         let _g = TEST_LOCK.lock().unwrap();
         let text = capture(|| {
+            // `join` returns only after the thread's TLS destructors (the
+            // drain) have run; the scope's implicit join does not wait.
             std::thread::scope(|s| {
                 s.spawn(|| {
                     counter("worker/work", 7);
-                });
+                })
+                .join()
+                .unwrap();
             });
         });
         assert!(
@@ -754,7 +758,9 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 counter("live/a", 10);
-            });
+            })
+            .join()
+            .unwrap();
         });
         let snap = live::snapshot();
         assert_eq!(snap, vec![("live/a", 15), ("live/b", 1)]);

@@ -420,10 +420,11 @@ pub fn lint_lexed(rel_path: &str, lx: &Lexed, tax: &Taxonomy) -> FileReport {
     }
 
     // --- clock: thread::sleep, everywhere (tests included) -----------------
-    // Real sleeps belong behind the two injectable-sleeper seams
-    // (RetryPolicy::run, FaultRunner); everything else — and every test —
-    // uses the injected clock, so the scan deliberately ignores the
-    // test-token mask.
+    // Real sleeps belong behind the one injectable-sleeper seam
+    // (scenario's default_sleeper, injected through Job::with_sleeper and
+    // FaultRunner::with_sleeper); everything else — and every test — uses
+    // the injected clock, so the scan deliberately ignores the test-token
+    // mask.
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || t.text != "thread" {
             continue;
@@ -436,9 +437,10 @@ pub fn lint_lexed(rel_path: &str, lx: &Lexed, tax: &Taxonomy) -> FileReport {
                 rel_path,
                 t.line,
                 Rule::Clock,
-                "thread::sleep — real sleeps hide behind the injectable-sleeper seams \
-                 (RetryPolicy::run_with_sleep, FaultRunner::with_sleeper); tests must \
-                 inject a virtual clock instead of burning wall-clock time (DESIGN.md §9)"
+                "thread::sleep — real sleeps hide behind the one injectable-sleeper seam \
+                 (scenario::job::default_sleeper, replaced via Job::with_sleeper or \
+                 FaultRunner::with_sleeper); tests must inject a virtual clock instead of \
+                 burning wall-clock time (DESIGN.md §9)"
                     .to_string(),
             ));
         }

@@ -18,13 +18,6 @@ use crate::parse::{parse_file, Call, FnItem, StructItem};
 use crate::rules::{classify, FileInfo};
 use std::collections::BTreeMap;
 
-/// The identifiers that count as a supervision check (DESIGN.md §11):
-/// the `StopHandle` queries, the `Job::stop_now` wrapper, plus
-/// `supervise::check` / `bbgnn_supervise::check` and the scoped form
-/// `scope.check(..)` on a [`SupervisionScope`] handle.
-pub const CHECK_CALL_IDENTS: [&str; 4] =
-    ["stop_reason", "should_stop", "cancel_requested", "stop_now"];
-
 /// One analyzed file.
 #[derive(Debug)]
 pub struct FileModel {
@@ -60,16 +53,18 @@ pub struct Model {
     by_name: BTreeMap<String, Vec<usize>>,
 }
 
-/// True if `c` is a supervision check per §11.
+/// True if `c` is a supervision check per §11: `stop_reason`, the attack
+/// crate's `should_stop` wrapper, `cancel_requested`, or
+/// `supervise::check` / `bbgnn_supervise::check`.
 pub fn is_check_call(c: &Call) -> bool {
     if c.is_macro {
         return false;
     }
     match c.name.as_str() {
-        "stop_reason" | "should_stop" | "cancel_requested" | "stop_now" => true,
+        "stop_reason" | "should_stop" | "cancel_requested" => true,
         "check" => matches!(
             c.qualifier.as_deref(),
-            Some("supervise") | Some("bbgnn_supervise") | Some("scope")
+            Some("supervise") | Some("bbgnn_supervise")
         ),
         _ => false,
     }

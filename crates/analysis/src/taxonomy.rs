@@ -261,7 +261,7 @@ mod tests {
     fn builtin_design_doc_parses_and_matches_known_names() {
         let tax = builtin().expect("DESIGN.md §8 must parse");
         // Fixed names.
-        assert!(tax.span_ok("bench/cell"));
+        assert!(tax.span_ok("job/run"));
         assert!(tax.span_ok("train/fit"));
         // Wildcard names.
         assert!(tax.span_ok("attack/peega_parallel"));

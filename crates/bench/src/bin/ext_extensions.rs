@@ -12,7 +12,8 @@
 
 use bbgnn::attack::peega_parallel::{PeegaParallel, PeegaParallelConfig};
 use bbgnn::prelude::*;
-use bbgnn_bench::{config::ExpConfig, report::Table, runner::evaluate_defender};
+use bbgnn_bench::{config::ExpConfig, report::Table};
+use bbgnn_scenario::eval::evaluate_defender;
 
 fn main() {
     let cfg = ExpConfig::from_args();

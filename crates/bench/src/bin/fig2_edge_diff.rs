@@ -6,7 +6,8 @@
 //! bars — the context-blurring insight of Sec. IV-A.
 
 use bbgnn::prelude::*;
-use bbgnn_bench::{config::ExpConfig, report::Table, runner::AttackRow};
+use bbgnn_bench::{config::ExpConfig, report::Table};
+use bbgnn_scenario::eval::AttackRow;
 
 fn main() {
     let cfg = ExpConfig::from_args();

@@ -6,7 +6,8 @@
 //! rises, contexts blur, and accuracy falls.
 
 use bbgnn::prelude::*;
-use bbgnn_bench::{config::ExpConfig, report::Table, runner::gcn_accuracy};
+use bbgnn_bench::{config::ExpConfig, report::Table};
+use bbgnn_scenario::eval::gcn_accuracy;
 
 fn main() {
     let cfg = ExpConfig::from_args();

@@ -17,8 +17,8 @@ use bbgnn_bench::{
     config::ExpConfig,
     fault::{CellValue, FaultRunner},
     report::Table,
-    runner::evaluate_defender_checked,
 };
+use bbgnn_scenario::eval::evaluate_defender_checked;
 
 fn main() {
     let cfg = ExpConfig::from_args();

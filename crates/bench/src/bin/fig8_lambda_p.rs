@@ -8,7 +8,8 @@
 //! Cora/Citeseer while Polblogs prefers p = 1.
 
 use bbgnn::prelude::*;
-use bbgnn_bench::{config::ExpConfig, report::Table, runner::gcn_accuracy};
+use bbgnn_bench::{config::ExpConfig, report::Table};
+use bbgnn_scenario::eval::gcn_accuracy;
 
 fn main() {
     let cfg = ExpConfig::from_args();

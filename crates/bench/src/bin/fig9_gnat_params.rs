@@ -11,7 +11,8 @@
 //! (k_e).
 
 use bbgnn::prelude::*;
-use bbgnn_bench::{config::ExpConfig, report::Table, runner::evaluate_defender};
+use bbgnn_bench::{config::ExpConfig, report::Table};
+use bbgnn_scenario::eval::evaluate_defender;
 
 fn main() {
     let cfg = ExpConfig::from_args();

@@ -25,8 +25,8 @@
 use bbgnn::prelude::*;
 use bbgnn_bench::compare;
 use bbgnn_bench::config::ExpConfig;
-use bbgnn_bench::json::Json;
 use bbgnn_bench::report::Table;
+use bbgnn_scenario::json::Json;
 use std::time::Instant;
 
 /// Cora's full-size node count and feature dimension (Table III).

@@ -18,8 +18,8 @@ use bbgnn_bench::{
     config::ExpConfig,
     fault::{CellValue, FaultRunner},
     report::Table,
-    runner::evaluate_defender_checked,
 };
+use bbgnn_scenario::eval::evaluate_defender_checked;
 
 fn variants() -> Vec<(&'static str, Vec<View>, bool)> {
     use View::{Ego as E, Feature as F, Topology as T};

@@ -14,8 +14,8 @@
 //! than resumed. Writes go through a temp file + rename so a crash during
 //! the write itself cannot corrupt the previous checkpoint.
 
-use crate::json::Json;
 use bbgnn_errors::{BbgnnError, BbgnnResult};
+use bbgnn_scenario::json::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 

@@ -15,7 +15,7 @@
 //! machine-specific thread counts (e.g. `matmul@16t` from a bigger box) are
 //! skipped, not failed.
 
-use crate::json::Json;
+use bbgnn_scenario::json::Json;
 use std::collections::BTreeMap;
 
 /// Minimum allowed `current / baseline` ratio of the median speedup before

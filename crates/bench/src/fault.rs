@@ -1,13 +1,14 @@
-//! Fault-isolated execution of experiment cells.
+//! Checkpointing execution of experiment cells.
 //!
-//! [`FaultRunner`] wraps every table/figure cell in a panic boundary
-//! ([`std::panic::catch_unwind`]) and the workspace
-//! [`RetryPolicy`]: a cell that panics or returns a retryable
-//! [`BbgnnError`] is re-run with a deterministically perturbed seed; a cell
-//! that exhausts its budget is recorded as `failed` with its cause and the
-//! sweep continues — one pathological cell can no longer take down an
-//! entire table run. Completed cells go straight into the
-//! [`Checkpoint`], so a killed sweep resumes where it stopped.
+//! [`FaultRunner`] runs every table/figure cell through the scenario
+//! layer's one cell boundary, [`run_cell`] (a closure cell, [`cell`]) or
+//! [`Job::run_with_graph`] (a scenario job, [`job`]) — the panic boundary,
+//! deterministic seed-perturbed retries under the workspace
+//! [`RetryPolicy`], and the supervision checks live there. What this
+//! module adds is the [`Checkpoint`]: a completed cell is recorded
+//! immediately and replayed verbatim on resume, so a killed sweep resumes
+//! where it stopped, and a cell that exhausts its retries is recorded as
+//! `failed` while the sweep continues.
 //!
 //! Outcome vocabulary (per cell, persisted in the checkpoint):
 //!
@@ -34,12 +35,14 @@
 //!   output, so they persist through the normal `degraded` path — and a
 //!   budget-bounded checkpoint is consequently *not* resume-equivalent
 //!   to an unbounded one.
+//!
+//! [`cell`]: FaultRunner::cell
+//! [`job`]: FaultRunner::job
 
 use crate::checkpoint::{CellRecord, Checkpoint};
 use crate::config::ExpConfig;
 use bbgnn_errors::{BbgnnError, RetryPolicy};
-use bbgnn_scenario::job::{CellOutcome, Job};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use bbgnn_scenario::job::{default_sleeper, run_cell, CellOutcome, CellResult, Job};
 
 // The cell-value vocabulary moved to the scenario layer (PR 7) so jobs
 // and the server share it; re-exported here to keep the historical paths.
@@ -101,8 +104,7 @@ impl FaultRunner {
             checkpoint,
             policy,
             stats: CellStats::default(),
-            // lint: allow(clock) reason=the one real backoff sleeper; tests inject a virtual clock via with_sleeper
-            sleeper: std::thread::sleep,
+            sleeper: default_sleeper(),
         }
     }
 
@@ -128,123 +130,23 @@ impl FaultRunner {
     /// Runs one cell and returns its formatted value.
     ///
     /// If the cell is already checkpointed its stored value is returned
-    /// verbatim (byte-identical resume). Otherwise `f` is invoked with the
-    /// attempt's seed — attempt 0 uses `base_seed` unchanged, so an
-    /// untroubled run is identical to one without the harness — inside a
-    /// panic boundary. Panics and retryable errors consume retry budget;
-    /// non-retryable errors and an exhausted budget record the cell as
-    /// `failed` and return [`FAILED_CELL`].
+    /// verbatim (byte-identical resume). Otherwise `f` runs inside
+    /// [`run_cell`] under this runner's retry policy and sleeper, with
+    /// the attempt's seed — attempt 0 uses `base_seed` unchanged, so an
+    /// untroubled run is identical to one without the harness. A cell
+    /// whose attempts all fail is recorded `failed` and returns
+    /// [`FAILED_CELL`].
     pub fn cell(
         &mut self,
         key: &str,
         base_seed: u64,
-        mut f: impl FnMut(u64) -> Result<CellValue, BbgnnError>,
+        f: impl FnMut(u64) -> Result<CellValue, BbgnnError>,
     ) -> String {
-        if let Some(done) = self.checkpoint.get(key) {
-            self.stats.cached += 1;
-            return done.value.clone();
+        if let Some(done) = self.replay(key) {
+            return done;
         }
-        // Record which store artifacts this cell touches (hits and writes
-        // alike) so the checkpoint pins them against `bbgnn-store gc`.
-        // Recording is thread-local: cells run on the caller's thread, so
-        // pool workers spawned inside `f` are intentionally not captured.
-        bbgnn::store::start_recording();
-        let mut last_cause = String::new();
-        for attempt in 0..=self.policy.max_retries {
-            // Supervision stop at an attempt boundary: skip without touching
-            // the checkpoint, so a resumed run recomputes this cell. Checked
-            // per attempt, not just at cell entry — a stop arriving mid-cell
-            // can surface as a panic from an infallible numeric façade, and
-            // retrying it would burn the retry budget into a persisted
-            // `failed` cell that a resume could never heal.
-            if bbgnn_supervise::stop_reason("bench/cell").is_some() {
-                self.stats.skipped += 1;
-                bbgnn::store::take_recording();
-                return FAILED_CELL.to_string();
-            }
-            let seed = RetryPolicy::seed_for_attempt(base_seed, attempt);
-            let _span = bbgnn_obs::span!("bench/cell", key = key, attempt = attempt, seed = seed);
-            let outcome = catch_unwind(AssertUnwindSafe(|| f(seed)));
-            let error = match outcome {
-                Ok(Ok(value)) => {
-                    // A cancel landing mid-cell surfaces as an Ok value
-                    // truncated by the stop (training's best-so-far
-                    // snapshot, flagged degraded). Persisting it would make
-                    // a resumed run replay the truncated value verbatim, so
-                    // under a cancel a degraded value is a skip, not a
-                    // result. Budget stops keep it: a bounded run's partial
-                    // cells are its intended output (DESIGN.md §11).
-                    if value.degraded
-                        && matches!(
-                            bbgnn_supervise::stop_reason("bench/cell"),
-                            Some(bbgnn_supervise::Stop::Cancelled)
-                        )
-                    {
-                        eprintln!(
-                            "cell {key}: skipped (cancelled mid-cell; partial value discarded)"
-                        );
-                        self.stats.skipped += 1;
-                        bbgnn::store::take_recording();
-                        return FAILED_CELL.to_string();
-                    }
-                    let tag = if value.degraded {
-                        self.stats.degraded += 1;
-                        "degraded"
-                    } else if attempt > 0 {
-                        self.stats.retried += 1;
-                        "retried"
-                    } else {
-                        self.stats.ok += 1;
-                        "ok"
-                    };
-                    let artifacts = bbgnn::store::take_recording();
-                    self.persist(key, &value.text, tag, attempt + 1, None, artifacts);
-                    return value.text;
-                }
-                Ok(Err(e)) => e,
-                // A panic is treated like a retryable fault: most panics
-                // under adversarial perturbation are numerical blowups, and
-                // the perturbed-seed retry is cheap and deterministic.
-                Err(payload) => BbgnnError::ExperimentAborted {
-                    cell: key.to_string(),
-                    cause: format!("panic: {}", panic_message(&payload)),
-                },
-            };
-            // A supervision stop surfacing as an error is not a failure of
-            // the cell: never retried, never checkpointed — the run is
-            // winding down and a resume will recompute this cell.
-            if error.is_supervision_stop() {
-                eprintln!("cell {key}: skipped ({error})");
-                self.stats.skipped += 1;
-                bbgnn::store::take_recording();
-                return FAILED_CELL.to_string();
-            }
-            last_cause = error.to_string();
-            let retryable =
-                error.is_retryable() || matches!(error, BbgnnError::ExperimentAborted { .. });
-            if !retryable || attempt == self.policy.max_retries {
-                break;
-            }
-            if error.wants_backoff() {
-                (self.sleeper)(self.policy.backoff_for_attempt(attempt + 1));
-            }
-            eprintln!(
-                "cell {key}: attempt {} failed ({last_cause}); retrying",
-                attempt + 1
-            );
-        }
-        eprintln!("cell {key}: giving up ({last_cause})");
-        self.stats.failed += 1;
-        let artifacts = bbgnn::store::take_recording();
-        self.persist(
-            key,
-            FAILED_CELL,
-            "failed",
-            self.policy.max_retries + 1,
-            Some(&last_cause),
-            artifacts,
-        );
-        FAILED_CELL.to_string()
+        let res = run_cell(key, base_seed, &self.policy, self.sleeper, f);
+        self.record(res)
     }
 
     /// Runs a scenario [`Job`] as one cell of this sweep: checkpoint
@@ -263,14 +165,26 @@ impl FaultRunner {
         ctx: &bbgnn::linalg::ExecContext,
         prepared: Option<&bbgnn::graph::Graph>,
     ) -> String {
-        if let Some(done) = self.checkpoint.get(job.key()) {
-            self.stats.cached += 1;
-            return done.value.clone();
+        if let Some(done) = self.replay(job.key()) {
+            return done;
         }
         let job = job
             .with_policy(self.policy.clone())
             .with_sleeper(self.sleeper);
         let res = job.run_with_graph(ctx, prepared);
+        self.record(res)
+    }
+
+    /// The checkpointed value of `key`, if the cell already completed.
+    fn replay(&mut self, key: &str) -> Option<String> {
+        let done = self.checkpoint.get(key)?.value.clone();
+        self.stats.cached += 1;
+        Some(done)
+    }
+
+    /// Counts and reports one finished cell, persists it unless a stop
+    /// skipped it (so a resumed run recomputes it), and returns its value.
+    fn record(&mut self, res: CellResult) -> String {
         match res.outcome {
             CellOutcome::Skipped => {
                 if let Some(detail) = &res.detail {
@@ -352,16 +266,6 @@ impl FaultRunner {
         if let Err(e) = self.checkpoint.record(key, record) {
             eprintln!("warning: could not checkpoint cell {key}: {e}");
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -11,11 +11,10 @@
 //!   `BBGNN_*` environment variables (malformed input surfaces as
 //!   [`InvalidConfig`](bbgnn_errors::BbgnnError::InvalidConfig) naming the
 //!   offending flag);
-//! * [`runner`] — attack generation and repeated-run defender evaluation
-//!   (now a shim over [`bbgnn_scenario::eval`]);
-//! * [`fault`] — per-cell panic isolation, deterministic seed-perturbed
-//!   retries, and ok/retried/degraded/failed outcome accounting, plus the
-//!   checkpointing adapter for [`bbgnn_scenario::job::Job`] cells;
+//! * [`fault`] — the checkpointing cell runner: closure cells and
+//!   [`bbgnn_scenario::job::Job`] cells both run through the scenario
+//!   layer's one cell boundary ([`bbgnn_scenario::job::run_cell`]), with
+//!   ok/retried/degraded/failed outcome accounting on top;
 //! * [`checkpoint`] — crash-safe `results/*.checkpoint.json` cell stores so
 //!   a killed sweep resumes byte-identically;
 //! * [`report`] — fixed-width table printing plus CSV/JSON dumps under
@@ -36,7 +35,5 @@ pub mod cli;
 pub mod compare;
 pub mod config;
 pub mod fault;
-pub mod json;
 pub mod report;
-pub mod runner;
 pub mod trace;

@@ -14,7 +14,7 @@
 //! The `trace_report` binary is a thin CLI over [`read_trace`] +
 //! [`TraceSummary`]'s renderers.
 
-use crate::json::Json;
+use bbgnn_scenario::json::Json;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 /// Wall-time aggregate for one span name.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanStat {
-    /// Span name (e.g. `train/fit`, `bench/cell`).
+    /// Span name (e.g. `train/fit`, `job/run`).
     pub name: String,
     /// How many spans of this name closed.
     pub count: usize,
@@ -321,7 +321,7 @@ impl TraceSummary {
 mod tests {
     use super::*;
 
-    const GOOD: &str = r#"{"t":"open","id":1,"par":0,"tid":1,"us":0,"name":"bench/cell","f":{"key":"cora"}}
+    const GOOD: &str = r#"{"t":"open","id":1,"par":0,"tid":1,"us":0,"name":"job/run","f":{"key":"cora"}}
 {"t":"open","id":2,"par":1,"tid":1,"us":100,"name":"train/fit"}
 {"t":"ev","name":"train/epoch","span":2,"tid":1,"us":150,"f":{"epoch":0,"loss":1.9,"grad_norm":0.4,"train_acc":0.3,"val_acc":0.25}}
 {"t":"ev","name":"train/epoch","span":2,"tid":1,"us":220,"f":{"epoch":1,"loss":1.2,"grad_norm":null,"train_acc":0.6,"val_acc":0.5}}
@@ -336,8 +336,8 @@ mod tests {
         let s = parse_trace(GOOD).unwrap();
         assert_eq!(s.records, 8);
         assert_eq!(s.events, 2);
-        // bench/cell: total 1000, self 1000-300=700; train/fit: 300/300.
-        assert_eq!(s.spans[0].name, "bench/cell");
+        // job/run: total 1000, self 1000-300=700; train/fit: 300/300.
+        assert_eq!(s.spans[0].name, "job/run");
         assert_eq!(s.spans[0].total_us, 1000);
         assert_eq!(s.spans[0].self_us, 700);
         let fit = s.spans.iter().find(|x| x.name == "train/fit").unwrap();
@@ -359,7 +359,7 @@ mod tests {
     fn renders_tables_and_csv() {
         let s = parse_trace(GOOD).unwrap();
         let spans = s.span_table();
-        assert!(spans.contains("bench/cell"));
+        assert!(spans.contains("job/run"));
         assert!(spans.contains("0.700"), "self ms missing: {spans}");
         assert!(s.counter_table().contains("kernel/matmul"));
         let csv = s.epoch_csv();

@@ -11,6 +11,7 @@ use bbgnn_bench::config::ExpConfig;
 use bbgnn_bench::fault::{CellValue, FaultRunner, FAILED_CELL};
 use bbgnn_supervise::fault;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -61,22 +62,37 @@ fn dataset_io_fault_is_a_retryable_io_error_and_backoff_recovers() {
     );
     assert!(err.is_retryable() && !err.is_supervision_stop());
 
-    // The one-shot plan is spent, so the retry policy recovers on attempt
-    // 2 — through the injectable sleeper, never a real sleep.
+    // The one-shot plan is spent, so the cell recovers on attempt 2 —
+    // through the injectable sleeper, never a real sleep.
+    static SLEEPS: AtomicUsize = AtomicUsize::new(0);
+    fn counting_sleep(_d: std::time::Duration) {
+        SLEEPS.fetch_add(1, Ordering::Relaxed);
+    }
     fault::install("7:fault/dataset_io").unwrap();
-    let mut slept = Vec::new();
-    let (loaded, attempts) = RetryPolicy::default()
-        .run_with_sleep(
-            0,
-            |_, _| bbgnn::graph::datasets::io::load(&dir),
-            |d| slept.push(d),
-        )
-        .unwrap();
+    let out = tmp_dir("dataset-io-out");
+    let mut r = FaultRunner::with_policy(&test_cfg(&out), "chaos", RetryPolicy::default())
+        .with_sleeper(counting_sleep);
+    let mut attempts = 0;
+    let mut loaded = None;
+    let v = r.cell("load", 0, |_| {
+        attempts += 1;
+        let graph = bbgnn::graph::datasets::io::load(&dir)?;
+        let nodes = graph.num_nodes().to_string();
+        loaded = Some(graph);
+        Ok(CellValue::clean(nodes))
+    });
     assert_eq!(attempts, 2);
-    assert_eq!(slept.len(), 1, "DatasetIo retries back off once per retry");
-    assert_eq!(loaded.num_nodes(), g.num_nodes());
+    assert_eq!(r.stats().retried, 1);
+    assert_eq!(
+        SLEEPS.load(Ordering::Relaxed),
+        1,
+        "DatasetIo retries back off once per retry"
+    );
+    assert_eq!(v, g.num_nodes().to_string());
+    assert_eq!(loaded.map(|l| l.num_nodes()), Some(g.num_nodes()));
     bbgnn_supervise::shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&out);
 }
 
 // --- fault/kernel_nan ----------------------------------------------------
@@ -275,7 +291,7 @@ fn epoch_budget_interrupts_training_into_a_degraded_cell_value() {
         epochs: Some(3),
         ..Default::default()
     });
-    let (stats, health) = bbgnn_bench::runner::evaluate_defender_checked(
+    let (stats, health) = bbgnn_scenario::eval::evaluate_defender_checked(
         &bbgnn::registry::DefenderKind::Gcn,
         &g,
         2,

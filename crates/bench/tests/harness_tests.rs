@@ -3,7 +3,7 @@
 
 use bbgnn::prelude::*;
 use bbgnn_bench::report::{mark_extreme, Table};
-use bbgnn_bench::runner::{evaluate_defender, evaluate_defender_timed, AttackRow};
+use bbgnn_scenario::eval::{evaluate_defender, evaluate_defender_timed, AttackRow};
 
 #[test]
 fn one_table_cell_end_to_end() {

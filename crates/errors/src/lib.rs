@@ -86,9 +86,10 @@ pub enum BbgnnError {
         /// The terminal cause, flattened to text.
         cause: String,
     },
-    /// The run was cooperatively cancelled (SIGINT/SIGTERM or an explicit
-    /// `CancelToken::cancel`). Work completed so far is preserved by the
-    /// caller; the error only reports where the cancellation was observed.
+    /// The run was cooperatively cancelled (SIGINT/SIGTERM, or an explicit
+    /// cancel of the process or of a job's supervision scope). Work
+    /// completed so far is preserved by the caller; the error only reports
+    /// where the cancellation was observed.
     Cancelled {
         /// The check site that observed the cancellation (e.g.
         /// `"train/epoch"`, `"lanczos/restart"`).
@@ -261,6 +262,9 @@ pub fn first_non_finite(values: &[f64]) -> Option<(usize, f64)> {
 ///   checkpoint resume) replays the exact same retry sequence;
 /// * IO-class failures sleep `backoff_base * 2^attempt` (capped) between
 ///   attempts; compute failures retry immediately.
+///
+/// The policy is data; the one loop that applies it is the scenario
+/// layer's cell boundary, `bbgnn_scenario::job::run_cell`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (`0` = try once).
@@ -303,59 +307,6 @@ impl RetryPolicy {
         self.backoff_base
             .checked_mul(factor)
             .map_or(self.backoff_max, |d| d.min(self.backoff_max))
-    }
-
-    /// Runs `op` up to `1 + max_retries` times. `op` receives the attempt
-    /// index and that attempt's perturbed seed. Non-retryable errors (e.g.
-    /// [`BbgnnError::InvalidGraph`]) abort immediately; IO-class errors
-    /// back off exponentially before the next attempt.
-    ///
-    /// Backoff sleeps go through `std::thread::sleep`; tests exercising the
-    /// retry path should use [`run_with_sleep`](RetryPolicy::run_with_sleep)
-    /// with a recording no-op sleeper instead of burning wall-clock time.
-    ///
-    /// Returns the value together with the number of attempts used.
-    pub fn run<T>(
-        &self,
-        base_seed: u64,
-        op: impl FnMut(usize, u64) -> BbgnnResult<T>,
-    ) -> BbgnnResult<(T, usize)> {
-        // lint: allow(clock) reason=the one real backoff sleeper; tests inject via run_with_sleep
-        self.run_with_sleep(base_seed, op, std::thread::sleep)
-    }
-
-    /// [`run`](RetryPolicy::run) with an injectable backoff clock: `sleep`
-    /// is called with each backoff duration instead of
-    /// `std::thread::sleep`. This is the seam fault-path tests use to
-    /// assert backoff schedules without real sleeping, and the seam a
-    /// supervised runner uses to make backoff waits cancellation-aware.
-    pub fn run_with_sleep<T>(
-        &self,
-        base_seed: u64,
-        mut op: impl FnMut(usize, u64) -> BbgnnResult<T>,
-        mut sleep: impl FnMut(Duration),
-    ) -> BbgnnResult<(T, usize)> {
-        let mut last_err = None;
-        for attempt in 0..=self.max_retries {
-            let seed = Self::seed_for_attempt(base_seed, attempt);
-            match op(attempt, seed) {
-                Ok(v) => return Ok((v, attempt + 1)),
-                Err(e) => {
-                    if !e.is_retryable() || attempt == self.max_retries {
-                        return Err(e);
-                    }
-                    if e.wants_backoff() {
-                        sleep(self.backoff_for_attempt(attempt + 1));
-                    }
-                    last_err = Some(e);
-                }
-            }
-        }
-        // Unreachable: the loop always returns. Kept for totality.
-        Err(last_err.unwrap_or(BbgnnError::ExperimentAborted {
-            cell: String::new(),
-            cause: "retry loop exited without result".into(),
-        }))
     }
 }
 
@@ -420,73 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn run_retries_then_succeeds() {
-        let policy = RetryPolicy {
-            max_retries: 3,
-            ..Default::default()
-        };
-        let mut seeds = Vec::new();
-        let (value, attempts) = policy
-            .run(100, |attempt, seed| {
-                seeds.push(seed);
-                if attempt < 2 {
-                    Err(BbgnnError::NumericalDivergence {
-                        what: "loss".into(),
-                        value: f64::NAN,
-                    })
-                } else {
-                    Ok(seed)
-                }
-            })
-            .expect("third attempt succeeds");
-        assert_eq!(attempts, 3);
-        assert_eq!(seeds[0], 100);
-        assert_eq!(value, RetryPolicy::seed_for_attempt(100, 2));
-    }
-
-    #[test]
-    fn run_aborts_on_non_retryable() {
-        let policy = RetryPolicy {
-            max_retries: 5,
-            ..Default::default()
-        };
-        let mut calls = 0;
-        let err = policy
-            .run(0, |_, _| -> BbgnnResult<()> {
-                calls += 1;
-                Err(BbgnnError::InvalidConfig {
-                    what: "--scale".into(),
-                    message: "bad".into(),
-                })
-            })
-            .unwrap_err();
-        assert_eq!(calls, 1, "non-retryable errors must not be retried");
-        assert!(matches!(err, BbgnnError::InvalidConfig { .. }));
-    }
-
-    #[test]
-    fn run_exhausts_budget() {
-        let policy = RetryPolicy {
-            max_retries: 2,
-            backoff_base: Duration::ZERO,
-            ..Default::default()
-        };
-        let mut calls = 0;
-        let err = policy
-            .run(0, |_, _| -> BbgnnResult<()> {
-                calls += 1;
-                Err(BbgnnError::ConvergenceFailure {
-                    method: "m".into(),
-                    iters: 1,
-                    residual: 1.0,
-                })
-            })
-            .unwrap_err();
-        assert_eq!(calls, 3);
-        assert!(matches!(err, BbgnnError::ConvergenceFailure { .. }));
-    }
-
-    #[test]
     fn supervision_stops_are_never_retryable() {
         let c = BbgnnError::Cancelled {
             at: "train/epoch".into(),
@@ -507,61 +391,6 @@ mod tests {
             message: "y".into()
         }
         .is_supervision_stop());
-    }
-
-    #[test]
-    fn run_with_sleep_records_backoff_without_sleeping() {
-        let policy = RetryPolicy {
-            max_retries: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_secs(1),
-        };
-        let mut slept = Vec::new();
-        let err = policy
-            .run_with_sleep(
-                0,
-                |_, _| -> BbgnnResult<()> {
-                    Err(BbgnnError::DatasetIo {
-                        path: "/tmp/x".into(),
-                        message: "flaky".into(),
-                    })
-                },
-                |d| slept.push(d),
-            )
-            .unwrap_err();
-        assert!(matches!(err, BbgnnError::DatasetIo { .. }));
-        // 3 retries → 3 backoffs, exponentially grown, all virtual.
-        assert_eq!(
-            slept,
-            vec![
-                Duration::from_millis(20),
-                Duration::from_millis(40),
-                Duration::from_millis(80),
-            ]
-        );
-    }
-
-    #[test]
-    fn cancelled_mid_retry_aborts_the_loop() {
-        let policy = RetryPolicy {
-            max_retries: 5,
-            ..Default::default()
-        };
-        let mut calls = 0;
-        let err = policy
-            .run_with_sleep(
-                0,
-                |_, _| -> BbgnnResult<()> {
-                    calls += 1;
-                    Err(BbgnnError::Cancelled {
-                        at: "bench/cell".into(),
-                    })
-                },
-                |_| {},
-            )
-            .unwrap_err();
-        assert_eq!(calls, 1, "a cancelled run must not burn retries");
-        assert!(err.is_supervision_stop());
     }
 
     #[test]

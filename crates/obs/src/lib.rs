@@ -592,7 +592,7 @@ pub fn kernel_timer(name: &'static str) -> KernelTimer {
 }
 
 /// Opens a [`Span`]: `span!("peega/step")` or
-/// `span!("bench/cell", key = "cora/PEEGA", attempt = 1u64)`.
+/// `span!("job/run", key = "cora/PEEGA", attempt = 1u64)`.
 ///
 /// Field values go through [`Value::from`]; field names are the bare
 /// identifiers. Returns the guard — bind it to a local.

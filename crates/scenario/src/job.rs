@@ -1,25 +1,28 @@
-//! Typed job specs and fault-isolated job execution.
+//! Typed job specs and fault-isolated cell execution.
 //!
 //! [`JobSpec`] is the declarative description of one experiment cell —
 //! dataset, model/defense column, optional attack, evaluation mode, seed —
 //! and doubles as the JSON wire format `bbgnn-serve` accepts on
-//! `POST /jobs`. [`Job`] is its resolved, runnable form:
-//! [`Job::run`] drives the cell with exactly the bench `FaultRunner`
-//! semantics (DESIGN.md §12):
+//! `POST /jobs`. [`Job`] is its resolved, runnable form.
+//!
+//! [`run_cell`] is the one cell boundary (DESIGN.md §12): [`Job::run`]
+//! and the bench `FaultRunner`'s closure cells both go through it. Per
+//! cell it provides:
 //!
 //! * a [`catch_unwind`] panic boundary per attempt;
 //! * deterministic seed-perturbed retries under the workspace
 //!   [`RetryPolicy`];
-//! * supervision check sites per attempt — a cancel (global or this job's
-//!   [`CancelToken`]) skips the cell and discards partial values, a budget
-//!   stop keeps them as `degraded` (the bounded run's intended output);
+//! * a supervision check before each attempt — a cancel (process-wide or
+//!   the entered [`SupervisionScope`]'s) skips the cell and discards
+//!   partial values, a budget stop keeps them as `degraded` (the bounded
+//!   run's intended output);
 //! * store recording, so the returned [`CellResult::artifacts`] pin
 //!   whatever content-addressed artifacts the cell touched;
 //! * an obs `job/run` span per attempt.
 //!
-//! Checkpointing stays in the bench crate: the binaries wrap `Job::run`
-//! with their `FaultRunner`, which adds the resume-from-checkpoint layer
-//! on top of the outcome this module reports.
+//! Checkpointing stays in the bench crate: its `FaultRunner` adds the
+//! resume-from-checkpoint layer on top of the [`CellResult`] reported
+//! here.
 
 use crate::dataset;
 use crate::eval::{evaluate_defender_checked, evaluate_defender_timed};
@@ -29,9 +32,10 @@ use bbgnn_errors::{BbgnnError, BbgnnResult, RetryPolicy};
 use bbgnn_gnn::eval::MeanStd;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::ExecContext;
-use bbgnn_supervise::{CancelToken, RunBudget, Stop, SupervisionScope};
+use bbgnn_supervise::{RunBudget, Stop, SupervisionScope};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Placeholder rendered for a cell whose every attempt failed (or that a
 /// stop skipped).
@@ -152,9 +156,10 @@ pub struct JobSpec {
     /// Per-job supervision budget spec (e.g. `epochs=500,queries=2M`);
     /// validated at resolution, installed by the executor.
     pub budget: Option<String>,
-    /// Requested kernel worker threads (`0` = server/process default).
-    /// Results are bitwise-identical for every value (DESIGN.md §7), so
-    /// this only trades wall-clock.
+    /// Requested kernel worker threads. Accepted on the wire and
+    /// round-tripped, but not applied: a job's kernels run on the process
+    /// thread count (`BBGNN_THREADS`). Results are bitwise-identical for
+    /// every thread count (DESIGN.md §7).
     pub threads: usize,
 }
 
@@ -425,18 +430,16 @@ pub struct CellResult {
     pub artifacts: Vec<String>,
 }
 
-/// A resolved, runnable job: validated names, a private [`CancelToken`],
-/// its own [`SupervisionScope`], and the retry policy its cell runs
-/// under.
+/// A resolved, runnable job: validated names, its own
+/// [`SupervisionScope`], and the retry policy its cell runs under.
 pub struct Job {
     key: String,
     spec: JobSpec,
     attack: Option<AttackerKind>,
     column: DefenderKind,
-    cancel: CancelToken,
     scope: Arc<SupervisionScope>,
     policy: RetryPolicy,
-    sleeper: fn(std::time::Duration),
+    sleeper: fn(Duration),
 }
 
 impl Job {
@@ -457,7 +460,6 @@ impl Job {
             spec,
             attack,
             column,
-            cancel: CancelToken::new(),
             scope: SupervisionScope::new(),
             policy: RetryPolicy::default(),
             sleeper: default_sleeper(),
@@ -479,7 +481,6 @@ impl Job {
             spec,
             attack,
             column,
-            cancel: CancelToken::new(),
             scope: SupervisionScope::new(),
             policy: RetryPolicy::default(),
             sleeper: default_sleeper(),
@@ -494,7 +495,7 @@ impl Job {
 
     /// Replaces the backoff sleeper (tests: a recording no-op instead of
     /// burning wall-clock time).
-    pub fn with_sleeper(mut self, sleeper: fn(std::time::Duration)) -> Job {
+    pub fn with_sleeper(mut self, sleeper: fn(Duration)) -> Job {
         self.sleeper = sleeper;
         self
     }
@@ -515,14 +516,6 @@ impl Job {
         RunBudget::parse_spec(spec).ok()
     }
 
-    /// A handle that cancels this job at the next attempt boundary.
-    /// Unlike [`scope`](Self::scope)'s cancel, the token does not reach
-    /// the supervised loops *inside* an attempt — prefer cancelling the
-    /// scope.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// This job's own supervision scope. [`run`](Self::run) enters it for
     /// the duration of the cell, so every check site the cell reaches —
     /// training epochs, attacker scans, eigensolver sweeps — observes it.
@@ -532,18 +525,11 @@ impl Job {
         Arc::clone(&self.scope)
     }
 
-    fn stop_now(&self) -> Option<Stop> {
-        if self.cancel.is_cancelled() {
-            return Some(Stop::Cancelled);
-        }
-        // The scoped check covers the process-default domain too (SIGINT,
-        // `--deadline`/`--budget`), then this job's own cancel/budget.
-        self.scope.stop_reason("job/run")
-    }
-
     /// Runs the cell to completion: load (or reuse) the input graph,
     /// poison it if the job has an attacker, evaluate, all inside the
-    /// panic/retry/supervision boundary described at module level.
+    /// [`run_cell`] boundary. `ctx` is not applied: the models build
+    /// their own kernel contexts from the process thread count
+    /// (`env_threads`).
     pub fn run(&self, ctx: &ExecContext) -> CellResult {
         self.run_with_graph(ctx, None)
     }
@@ -554,9 +540,9 @@ impl Job {
     /// evaluation input verbatim (the job's own attack, if any, is *not*
     /// re-applied), except for `attack_time` evaluations, which measure
     /// the attack against it.
-    pub fn run_with_graph(&self, ctx: &ExecContext, prepared: Option<&Graph>) -> CellResult {
+    pub fn run_with_graph(&self, _ctx: &ExecContext, prepared: Option<&Graph>) -> CellResult {
         // The cell runs inside this job's supervision scope: check sites
-        // it reaches consult the scope (plus the process-default domain),
+        // it reaches consult the scope (after the process-default domain),
         // and the job's own budget — if the spec set one — bounds this
         // job alone. With an inactive scope and no spec budget (the CLI
         // path) this changes nothing observable.
@@ -564,103 +550,13 @@ impl Job {
         if let Some(budget) = self.budget() {
             self.scope.install_budget(&budget);
         }
-        // Record which store artifacts this cell touches (hits and writes
-        // alike) so the caller can pin them against `bbgnn-store gc`.
-        // Recording is thread-local: the cell runs on this thread, pool
-        // workers spawned inside are intentionally not captured.
-        bbgnn_store::start_recording();
-        let mut last_cause = String::new();
-        for attempt in 0..=self.policy.max_retries {
-            // Supervision stop at an attempt boundary: skip, discarding
-            // partials. Checked per attempt, not just at entry — a stop
-            // arriving mid-cell can surface as a panic from an infallible
-            // numeric façade, and retrying it would burn the retry budget
-            // into a `failed` outcome that a resume could never heal.
-            if let Some(stop) = self.stop_now() {
-                return self.skipped(format!("{stop:?}"));
-            }
-            let seed = RetryPolicy::seed_for_attempt(self.spec.seed, attempt);
-            let _span = bbgnn_obs::span!(
-                "job/run",
-                key = self.key.as_str(),
-                attempt = attempt,
-                seed = seed,
-                threads = ctx.threads()
-            );
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.attempt(prepared, seed)));
-            let error = match outcome {
-                Ok(Ok(value)) => {
-                    // A cancel landing mid-cell surfaces as an Ok value
-                    // truncated by the stop (training's best-so-far
-                    // snapshot, flagged degraded). Returning it would let
-                    // a checkpoint replay the truncated value verbatim,
-                    // so under a cancel a degraded value is a skip, not a
-                    // result. Budget stops keep it: a bounded run's
-                    // partial cells are its intended output (§11).
-                    if value.degraded && matches!(self.stop_now(), Some(Stop::Cancelled)) {
-                        return self.skipped("cancelled mid-cell; partial value discarded");
-                    }
-                    let outcome = if value.degraded {
-                        CellOutcome::Degraded
-                    } else if attempt > 0 {
-                        CellOutcome::Retried
-                    } else {
-                        CellOutcome::Ok
-                    };
-                    return CellResult {
-                        key: self.key.clone(),
-                        value: value.text,
-                        outcome,
-                        attempts: attempt + 1,
-                        detail: None,
-                        artifacts: bbgnn_store::take_recording(),
-                    };
-                }
-                Ok(Err(e)) => e,
-                // A panic is treated like a retryable fault: most panics
-                // under adversarial perturbation are numerical blowups,
-                // and the perturbed-seed retry is cheap and deterministic.
-                Err(payload) => BbgnnError::ExperimentAborted {
-                    cell: self.key.clone(),
-                    cause: format!("panic: {}", panic_message(&payload)),
-                },
-            };
-            // A supervision stop surfacing as an error is not a failure of
-            // the cell: never retried, never persisted — the run is
-            // winding down and a resume will recompute this cell.
-            if error.is_supervision_stop() {
-                return self.skipped(error.to_string());
-            }
-            last_cause = error.to_string();
-            let retryable =
-                error.is_retryable() || matches!(error, BbgnnError::ExperimentAborted { .. });
-            if !retryable || attempt == self.policy.max_retries {
-                break;
-            }
-            if error.wants_backoff() {
-                (self.sleeper)(self.policy.backoff_for_attempt(attempt + 1));
-            }
-        }
-        CellResult {
-            key: self.key.clone(),
-            value: FAILED_CELL.to_string(),
-            outcome: CellOutcome::Failed,
-            attempts: self.policy.max_retries + 1,
-            detail: Some(last_cause),
-            artifacts: bbgnn_store::take_recording(),
-        }
-    }
-
-    fn skipped(&self, detail: impl Into<String>) -> CellResult {
-        let _ = bbgnn_store::take_recording();
-        CellResult {
-            key: self.key.clone(),
-            value: FAILED_CELL.to_string(),
-            outcome: CellOutcome::Skipped,
-            attempts: 0,
-            detail: Some(detail.into()),
-            artifacts: Vec::new(),
-        }
+        run_cell(
+            &self.key,
+            self.spec.seed,
+            &self.policy,
+            self.sleeper,
+            |seed| self.attempt(prepared, seed),
+        )
     }
 
     /// One attempt: resolve the input graph, then evaluate.
@@ -743,7 +639,124 @@ impl Job {
     }
 }
 
-fn default_sleeper() -> fn(std::time::Duration) {
+/// Runs one cell inside the panic/retry/supervision boundary and
+/// reports its outcome. `attempt` is invoked with each attempt's seed —
+/// attempt 0 uses `base_seed` unchanged, so an untroubled run is
+/// identical to one without the boundary.
+///
+/// * Before each attempt the cell checks for a supervision stop at site
+///   `job/run` (the process-default domain, then the scope the calling
+///   thread entered). A stop skips the cell: `Skipped`, partial values
+///   discarded, never to be checkpointed.
+/// * A panic or a retryable error consumes retry budget; the next attempt
+///   runs with a perturbed seed, after a backoff through `sleeper` when
+///   the error is IO-class. A non-retryable error or an exhausted budget
+///   reports `Failed` with the last cause.
+/// * A supervision stop surfacing as the attempt's error is a skip, not a
+///   failure, and is never retried.
+pub fn run_cell(
+    key: &str,
+    base_seed: u64,
+    policy: &RetryPolicy,
+    sleeper: fn(Duration),
+    mut attempt: impl FnMut(u64) -> BbgnnResult<CellValue>,
+) -> CellResult {
+    // Record which store artifacts this cell touches (hits and writes
+    // alike) so the caller can pin them against `bbgnn-store gc`.
+    // Recording is thread-local: the cell runs on this thread, pool
+    // workers spawned inside are intentionally not captured.
+    bbgnn_store::start_recording();
+    let skipped = |detail: String| {
+        let _ = bbgnn_store::take_recording();
+        CellResult {
+            key: key.to_string(),
+            value: FAILED_CELL.to_string(),
+            outcome: CellOutcome::Skipped,
+            attempts: 0,
+            detail: Some(detail),
+            artifacts: Vec::new(),
+        }
+    };
+    let mut last_cause = String::new();
+    for n in 0..=policy.max_retries {
+        // Checked per attempt, not just at entry — a stop arriving
+        // mid-cell can surface as a panic from an infallible numeric
+        // façade, and retrying it would burn the retry budget into a
+        // `failed` outcome that a resume could never heal.
+        if let Some(stop) = bbgnn_supervise::stop_reason("job/run") {
+            return skipped(format!("{stop:?}"));
+        }
+        let seed = RetryPolicy::seed_for_attempt(base_seed, n);
+        let _span = bbgnn_obs::span!("job/run", key = key, attempt = n, seed = seed);
+        let error = match catch_unwind(AssertUnwindSafe(|| attempt(seed))) {
+            Ok(Ok(value)) => {
+                // A cancel landing mid-cell surfaces as an Ok value
+                // truncated by the stop (training's best-so-far snapshot,
+                // flagged degraded). Returning it would let a checkpoint
+                // replay the truncated value verbatim, so under a cancel a
+                // degraded value is a skip, not a result. Budget stops
+                // keep it: a bounded run's partial cells are its intended
+                // output (§11).
+                if value.degraded
+                    && matches!(
+                        bbgnn_supervise::stop_reason("job/run"),
+                        Some(Stop::Cancelled)
+                    )
+                {
+                    return skipped("cancelled mid-cell; partial value discarded".into());
+                }
+                let outcome = if value.degraded {
+                    CellOutcome::Degraded
+                } else if n > 0 {
+                    CellOutcome::Retried
+                } else {
+                    CellOutcome::Ok
+                };
+                return CellResult {
+                    key: key.to_string(),
+                    value: value.text,
+                    outcome,
+                    attempts: n + 1,
+                    detail: None,
+                    artifacts: bbgnn_store::take_recording(),
+                };
+            }
+            Ok(Err(e)) => e,
+            // A panic is treated like a retryable fault: most panics under
+            // adversarial perturbation are numerical blowups, and the
+            // perturbed-seed retry is cheap and deterministic.
+            Err(payload) => BbgnnError::ExperimentAborted {
+                cell: key.to_string(),
+                cause: format!("panic: {}", panic_message(&payload)),
+            },
+        };
+        // The run is winding down and a resume will recompute this cell.
+        if error.is_supervision_stop() {
+            return skipped(error.to_string());
+        }
+        last_cause = error.to_string();
+        let retryable =
+            error.is_retryable() || matches!(error, BbgnnError::ExperimentAborted { .. });
+        if !retryable || n == policy.max_retries {
+            break;
+        }
+        if error.wants_backoff() {
+            sleeper(policy.backoff_for_attempt(n + 1));
+        }
+    }
+    CellResult {
+        key: key.to_string(),
+        value: FAILED_CELL.to_string(),
+        outcome: CellOutcome::Failed,
+        attempts: policy.max_retries + 1,
+        detail: Some(last_cause),
+        artifacts: bbgnn_store::take_recording(),
+    }
+}
+
+/// The real backoff sleeper [`Job`] and the bench `FaultRunner` use;
+/// tests inject a virtual clock in its place.
+pub fn default_sleeper() -> fn(Duration) {
     // lint: allow(clock) reason=the one real backoff sleeper; tests inject a virtual clock via with_sleeper
     std::thread::sleep
 }
@@ -759,13 +772,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Serializes tests that touch the process-global supervision state.
+    /// Serializes tests that touch the process-global supervision state
+    /// (the crate-root `run_cell` tests take it too).
     static SUPERVISE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn locked() -> std::sync::MutexGuard<'static, ()> {
         let guard = SUPERVISE_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -773,7 +787,7 @@ mod tests {
         guard
     }
 
-    fn quiet_sleep(_d: std::time::Duration) {}
+    pub(crate) fn quiet_sleep(_d: Duration) {}
 
     fn small_spec() -> JobSpec {
         JobSpec {
@@ -888,16 +902,16 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_skips_without_running() {
+    fn cancelled_scope_skips_without_running() {
         let _guard = locked();
         let ctx = ExecContext::from_env();
         let job = Job::new(small_spec()).unwrap().with_sleeper(quiet_sleep);
-        job.cancel_token().cancel();
+        job.scope().cancel();
         let res = job.run(&ctx);
         assert_eq!(res.outcome, CellOutcome::Skipped);
         assert_eq!(res.value, FAILED_CELL);
         assert_eq!(res.attempts, 0, "the cell body must not have run");
-        bbgnn_supervise::shutdown();
+        assert!(!bbgnn_supervise::cancel_requested(), "only this job stops");
     }
 
     #[test]

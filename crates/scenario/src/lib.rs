@@ -36,3 +36,132 @@ pub mod eval;
 pub mod job;
 pub mod json;
 pub mod registry;
+
+/// The retry rules of [`job::run_cell`], the one attempt loop that
+/// [`job::Job::run`] and the bench `FaultRunner` share.
+#[cfg(test)]
+mod tests {
+    use crate::job::tests::{locked, quiet_sleep};
+    use crate::job::{run_cell, CellOutcome, CellValue, FAILED_CELL};
+    use bbgnn_errors::{BbgnnError, RetryPolicy};
+    use std::time::Duration;
+
+    #[test]
+    fn run_retries_then_succeeds() {
+        let _g = locked();
+        let policy = RetryPolicy {
+            max_retries: 3,
+            ..Default::default()
+        };
+        let mut seeds = Vec::new();
+        let r = run_cell("cell", 100, &policy, quiet_sleep, |seed| {
+            seeds.push(seed);
+            if seeds.len() < 3 {
+                Err(BbgnnError::NumericalDivergence {
+                    what: "loss".into(),
+                    value: f64::NAN,
+                })
+            } else {
+                Ok(CellValue::clean(seed.to_string()))
+            }
+        });
+        assert_eq!(r.outcome, CellOutcome::Retried);
+        assert_eq!(r.attempts, 3);
+        assert_eq!(seeds[0], 100);
+        assert_eq!(r.value, RetryPolicy::seed_for_attempt(100, 2).to_string());
+    }
+
+    #[test]
+    fn run_aborts_on_non_retryable() {
+        let _g = locked();
+        let policy = RetryPolicy {
+            max_retries: 5,
+            ..Default::default()
+        };
+        let error = BbgnnError::InvalidConfig {
+            what: "--scale".into(),
+            message: "bad".into(),
+        };
+        let mut calls = 0;
+        let r = run_cell("cell", 0, &policy, quiet_sleep, |_| {
+            calls += 1;
+            Err(error.clone())
+        });
+        assert_eq!(calls, 1, "non-retryable errors must not be retried");
+        assert_eq!(r.outcome, CellOutcome::Failed);
+        assert_eq!(r.value, FAILED_CELL);
+        assert_eq!(r.detail, Some(error.to_string()));
+    }
+
+    #[test]
+    fn run_exhausts_budget() {
+        let _g = locked();
+        let policy = RetryPolicy {
+            max_retries: 2,
+            backoff_base: Duration::ZERO,
+            ..Default::default()
+        };
+        let error = BbgnnError::ConvergenceFailure {
+            method: "m".into(),
+            iters: 1,
+            residual: 1.0,
+        };
+        let mut calls = 0;
+        let r = run_cell("cell", 0, &policy, quiet_sleep, |_| {
+            calls += 1;
+            Err(error.clone())
+        });
+        assert_eq!(calls, 3);
+        assert_eq!(r.outcome, CellOutcome::Failed);
+        assert_eq!(r.detail, Some(error.to_string()));
+    }
+
+    #[test]
+    fn run_with_sleep_records_backoff_without_sleeping() {
+        let _g = locked();
+        static SLEPT: std::sync::Mutex<Vec<Duration>> = std::sync::Mutex::new(Vec::new());
+        fn recording_sleep(d: Duration) {
+            SLEPT.lock().unwrap().push(d);
+        }
+        let policy = RetryPolicy {
+            max_retries: 3,
+            backoff_base: Duration::from_millis(10),
+            backoff_max: Duration::from_secs(1),
+        };
+        let r = run_cell("cell", 0, &policy, recording_sleep, |_| {
+            Err(BbgnnError::DatasetIo {
+                path: "/tmp/x".into(),
+                message: "flaky".into(),
+            })
+        });
+        assert_eq!(r.outcome, CellOutcome::Failed);
+        // 3 retries → 3 backoffs, exponentially grown, all virtual.
+        assert_eq!(
+            *SLEPT.lock().unwrap(),
+            [
+                Duration::from_millis(20),
+                Duration::from_millis(40),
+                Duration::from_millis(80),
+            ]
+        );
+    }
+
+    #[test]
+    fn cancelled_mid_retry_aborts_the_loop() {
+        let _g = locked();
+        let policy = RetryPolicy {
+            max_retries: 5,
+            ..Default::default()
+        };
+        let mut calls = 0;
+        let r = run_cell("cell", 0, &policy, quiet_sleep, |_| {
+            calls += 1;
+            Err(BbgnnError::Cancelled {
+                at: "train/epoch".into(),
+            })
+        });
+        assert_eq!(calls, 1, "a cancelled run must not burn retries");
+        assert_eq!(r.outcome, CellOutcome::Skipped);
+        assert_eq!(r.value, FAILED_CELL);
+    }
+}

@@ -4,8 +4,8 @@
 //! bbgnn-serve [--addr HOST:PORT] [--queue N] [--workers N] [infra flags]
 //!   --addr     bind address (default 127.0.0.1:8787; port 0 = pick free)
 //!   --queue    pending-job admission bound (default 16)
-//!   --workers  concurrent job runners (default 1); the core budget is
-//!              split evenly across the pool
+//!   --workers  concurrent job runners (default 1); each job's kernels
+//!              use the process thread count (--threads)
 //!   plus the shared infra flags: --threads --trace --store --deadline
 //!   --budget --faults (see bbgnn_bench::cli::InfraFlags)
 //! ```

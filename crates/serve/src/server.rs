@@ -10,11 +10,10 @@
 //!   one socket (keep-alive) until the client sends `Connection: close`,
 //!   goes quiet past the read timeout, or the server drains;
 //! * a **worker pool** of `--workers N` threads pops the FIFO queue and
-//!   runs jobs concurrently. The machine's core budget ([`env_threads`],
-//!   i.e. `BBGNN_THREADS` or available parallelism) is partitioned evenly
-//!   across the pool, so two concurrent jobs don't oversubscribe the
-//!   cores a sequential pair would have used; a spec with an explicit
-//!   `threads` count still pins its own.
+//!   runs jobs concurrently. Each job's kernels run on the process thread
+//!   count ([`env_threads`], i.e. `BBGNN_THREADS` or available
+//!   parallelism), whatever the pool size; a spec's `threads` field is
+//!   accepted on the wire but not applied.
 //!
 //! [`env_threads`]: bbgnn_linalg::kernels::env_threads
 //!
@@ -30,7 +29,6 @@
 
 use crate::http::{self, ReadError, Request};
 use crate::state::{JobPhase, JobRecord, Popped, Refused, ServerState};
-use bbgnn_linalg::kernels::env_threads;
 use bbgnn_linalg::ExecContext;
 use bbgnn_scenario::job::{CellResult, Job, JobSpec};
 use bbgnn_scenario::json::Json;
@@ -68,8 +66,7 @@ impl Server {
     }
 
     /// [`start`](Self::start) with a pool of `workers` job runners
-    /// (clamped to ≥ 1). Each worker's kernels get an even share of the
-    /// process core budget, at least one core each.
+    /// (clamped to ≥ 1).
     pub fn start_with(addr: &str, capacity: usize, workers: usize) -> std::io::Result<Server> {
         let workers = workers.max(1);
         let listener = TcpListener::bind(addr)?;
@@ -78,11 +75,10 @@ impl Server {
         // Progress snapshots read the obs live mirror; the mirror works
         // with or without a trace sink.
         bbgnn_obs::live::enable();
-        let worker_threads = (env_threads() / workers).max(1);
         let pool = (0..workers)
             .map(|_| {
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(&state, worker_threads))
+                std::thread::spawn(move || worker_loop(&state))
             })
             .collect();
         let accept_state = Arc::clone(&state);
@@ -332,7 +328,7 @@ fn submit(state: &Arc<ServerState>, body: &str) -> (u16, String) {
     }
 }
 
-fn worker_loop(state: &Arc<ServerState>, worker_threads: usize) {
+fn worker_loop(state: &Arc<ServerState>) {
     loop {
         // A process-global cancel is never raised by a DELETE any more
         // (those cancel the job's own scope): it is the shared
@@ -343,7 +339,7 @@ fn worker_loop(state: &Arc<ServerState>, worker_threads: usize) {
         match state.next_job(WORKER_WAIT) {
             Popped::Stop => break,
             Popped::Idle => continue,
-            Popped::Work(id, job) => run_one(state, id, *job, worker_threads),
+            Popped::Work(id, job) => run_one(state, id, *job),
         }
     }
 }
@@ -352,21 +348,13 @@ fn worker_loop(state: &Arc<ServerState>, worker_threads: usize) {
 /// recorded, otherwise a full [`Job::run`] — which enters the job's own
 /// supervision scope and installs its budget there, so nothing global
 /// needs resetting between tenants.
-fn run_one(state: &ServerState, id: u64, job: Job, worker_threads: usize) {
+fn run_one(state: &ServerState, id: u64, job: Job) {
     let spec = job.spec().clone();
     let warm = replay(&spec, &job);
     let (result, warm) = match warm {
         Some(result) => (result, true),
         None => {
-            // An explicit per-spec thread count wins; otherwise the job
-            // gets this worker's even share of the core budget.
-            let threads = if spec.threads > 0 {
-                spec.threads
-            } else {
-                worker_threads
-            };
-            let ctx = ExecContext::with_threads(threads);
-            let result = job.run(&ctx);
+            let result = job.run(&ExecContext::from_env());
             if let Some(record) = JobRecord::from_result(&result) {
                 bbgnn_store::publish(&JobRecord::key_for(&spec), &record);
             }

@@ -95,7 +95,7 @@ pub fn install(spec: &str) -> Result<(), String> {
     if let Ok(mut p) = PLAN.write() {
         *p = Some(plan);
         FAULTS_ON.store(true, Ordering::Relaxed);
-        super::ACTIVE.store(true, Ordering::Relaxed);
+        super::ROOT.activate();
     }
     Ok(())
 }

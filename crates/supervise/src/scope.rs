@@ -1,24 +1,26 @@
-//! Scoped supervision: per-scope cancellation, deadlines, and budget
-//! accounting (DESIGN.md §11) — the multi-tenant form of the
-//! process-global knobs in the crate root.
+//! The supervision domain type (DESIGN.md §11): one logical run's cancel
+//! flag, deadline, epoch/query/memory caps and their used counters.
 //!
-//! A [`SupervisionScope`] carries exactly the state the globals do
-//! (cancel flag, deadline, epoch/query/memory caps and their used
-//! counters), but owned by one logical run instead of the process. A
-//! thread **enters** a scope ([`enter`]); while entered, every free
-//! function in the crate root ([`stop_reason`](crate::stop_reason),
-//! [`check`](crate::check), the `note_*` accounting hooks) consults the
-//! entered scope *in addition to* the process-default domain. The
-//! process-default domain — the globals the CLI binaries and the signal
-//! handler use — always takes precedence, so:
+//! There is one type and two kinds of instance:
 //!
-//! * with no scope entered, behavior is byte-identical to the
-//!   pre-scope crate: one global domain, period;
+//! * the crate's static root scope is the **process-default domain** —
+//!   what the CLI binaries, the signal handler and `InfraFlags` configure
+//!   through the free functions in the crate root
+//!   ([`request_cancel`](crate::request_cancel),
+//!   [`install_budget`](crate::install_budget), the `note_*` hooks);
+//! * a [`SupervisionScope::new`] scope is owned by one job and
+//!   **entered** on a thread ([`enter`]).
+//!
+//! Every check site ([`stop_reason`](crate::stop_reason),
+//! [`check`](crate::check)) consults the root first and then the entered
+//! scope, and the `note_*` hooks account to both, so:
+//!
+//! * with no scope entered, the root is the only domain;
 //! * SIGINT/SIGTERM ([`request_cancel`](crate::request_cancel)) reaches
 //!   every scope — a scoped job cannot outlive the process's will to die;
 //! * a process-wide budget (`--deadline` / `--budget`) bounds scoped
 //!   work too, while a *scope's* budget or cancel never leaks to a
-//!   sibling scope or to the default domain.
+//!   sibling scope or to the root.
 //!
 //! Scope entry is thread-local. Kernel regions propagate the submitting
 //! thread's scope into their pool workers (see
@@ -26,14 +28,16 @@
 //! a parallel region — the GF-Attack eigensolver exception of §11 —
 //! observe the same scope as the thread that launched the region.
 
-use crate::{RunBudget, Stop, UNSET};
-use bbgnn_errors::BbgnnResult;
+use crate::{RunBudget, Stop, ROOT};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-scope supervision state: one logical run's cancel flag, budget
-/// caps, and accounting counters.
+/// Sentinel for "no cap configured" in the budget atomics.
+const UNSET: u64 = u64::MAX;
+
+/// One supervision domain: a run's cancel flag, budget caps, and
+/// accounting counters.
 ///
 /// Constructed with [`SupervisionScope::new`] (an `Arc`, because the
 /// scope is shared between the thread running the work and whoever may
@@ -49,6 +53,9 @@ pub struct SupervisionScope {
     /// Deadline as nanoseconds since the process [`anchor`](crate::anchor);
     /// `UNSET` = none.
     deadline_nanos: AtomicU64,
+    /// The *configured* deadline in whole seconds — what a deadline stop
+    /// reports as its limit (`deadline_nanos` is an instant relative to an
+    /// anchor that may predate installation).
     deadline_limit_secs: AtomicU64,
     epoch_cap: AtomicU64,
     query_cap: AtomicU64,
@@ -56,14 +63,15 @@ pub struct SupervisionScope {
     epochs_used: AtomicU64,
     queries_used: AtomicU64,
     peak_bytes: AtomicU64,
+    /// Whether this domain's stop was already announced on the obs stream.
     stop_announced: AtomicBool,
 }
 
 impl SupervisionScope {
-    /// A fresh, inactive scope. Until it is activated, cancelled, or
-    /// given a budget, entering it changes nothing observable.
-    pub fn new() -> Arc<SupervisionScope> {
-        Arc::new(SupervisionScope {
+    /// An inactive domain with no caps — the state of the static root and
+    /// of every fresh scope.
+    pub(crate) const fn inactive() -> SupervisionScope {
+        SupervisionScope {
             active: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
             deadline_nanos: AtomicU64::new(UNSET),
@@ -75,7 +83,29 @@ impl SupervisionScope {
             queries_used: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
             stop_announced: AtomicBool::new(false),
-        })
+        }
+    }
+
+    /// A fresh, inactive scope. Until it is activated, cancelled, or
+    /// given a budget, entering it changes nothing observable.
+    pub fn new() -> Arc<SupervisionScope> {
+        Arc::new(Self::inactive())
+    }
+
+    /// Returns every field to its [`inactive`](Self::inactive) value; the
+    /// gate closes last.
+    pub(crate) fn reset(&self) {
+        self.cancelled.store(false, Ordering::Relaxed);
+        self.deadline_nanos.store(UNSET, Ordering::Relaxed);
+        self.deadline_limit_secs.store(UNSET, Ordering::Relaxed);
+        self.epoch_cap.store(UNSET, Ordering::Relaxed);
+        self.query_cap.store(UNSET, Ordering::Relaxed);
+        self.mem_cap.store(UNSET, Ordering::Relaxed);
+        self.epochs_used.store(0, Ordering::Relaxed);
+        self.queries_used.store(0, Ordering::Relaxed);
+        self.peak_bytes.store(0, Ordering::Relaxed);
+        self.stop_announced.store(false, Ordering::Relaxed);
+        self.active.store(false, Ordering::Relaxed);
     }
 
     /// Turns accounting on without installing any cap: the `note_*`
@@ -93,8 +123,8 @@ impl SupervisionScope {
     }
 
     /// Requests cooperative cancellation of this scope only. Siblings
-    /// and the process-default domain are untouched. Idempotent; atomic
-    /// stores only.
+    /// and the root are untouched. Idempotent; atomic stores only, so the
+    /// signal handler may call it on the root.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
         self.active.store(true, Ordering::Relaxed);
@@ -102,12 +132,11 @@ impl SupervisionScope {
 
     /// Whether this scope (or the whole process) was cancelled.
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed) || crate::cancel_requested()
+        self.cancelled.load(Ordering::Relaxed) || ROOT.cancelled.load(Ordering::Relaxed)
     }
 
-    /// Installs `budget` into this scope. An empty budget is a no-op.
-    /// The deadline clock starts now. Mirrors
-    /// [`install_budget`](crate::install_budget), scoped.
+    /// Installs `budget` into this scope. An empty budget is a no-op
+    /// (the scope stays inactive). The deadline clock starts now.
     pub fn install_budget(&self, budget: &RunBudget) {
         if budget.is_empty() {
             return;
@@ -133,36 +162,29 @@ impl SupervisionScope {
         self.active.store(true, Ordering::Relaxed);
     }
 
-    /// The scoped check: first the process-default domain (global
-    /// cancel *and* global budget — SIGINT and `--deadline` bound scoped
-    /// work too), then this scope's own cancel/budget state. Announces
-    /// the stop once per domain on the obs stream, exactly like
-    /// [`stop_reason`](crate::stop_reason).
-    pub fn stop_reason(&self, site: &str) -> Option<Stop> {
-        if crate::global_active() {
-            if let Some(stop) = crate::global_stop_slow() {
-                crate::announce_once(crate::global_announce_flag(), site, &stop);
-                return Some(stop);
-            }
-        }
+    /// The check of one domain: `None` while the scope is inactive,
+    /// otherwise its [`local_stop`](Self::local_stop), announced on the
+    /// obs stream once per scope as a `supervise/stop` event naming
+    /// `site`, the first check site that observed it.
+    pub(crate) fn announced_stop(&self, site: &str) -> Option<Stop> {
         if !self.is_active() {
             return None;
         }
         let stop = self.local_stop()?;
-        crate::announce_once(&self.stop_announced, site, &stop);
+        if !self.stop_announced.swap(true, Ordering::Relaxed) {
+            match &stop {
+                Stop::Cancelled => {
+                    bbgnn_obs::event!("supervise/stop", site = site, why = "cancelled")
+                }
+                Stop::Budget { resource, .. } => {
+                    bbgnn_obs::event!("supervise/stop", site = site, why = *resource)
+                }
+            }
+        }
         Some(stop)
     }
 
-    /// [`stop_reason`](Self::stop_reason) as a `Result`, naming the
-    /// check site.
-    pub fn check(&self, site: &str) -> BbgnnResult<()> {
-        match self.stop_reason(site) {
-            None => Ok(()),
-            Some(stop) => Err(stop.into_error(site)),
-        }
-    }
-
-    /// This scope's own stop state (no global domain, no announce):
+    /// This scope's own stop state (no other domain, no announce):
     /// cancel first, then each cap against this scope's counters.
     pub(crate) fn local_stop(&self) -> Option<Stop> {
         if self.cancelled.load(Ordering::Relaxed) {
@@ -200,10 +222,6 @@ impl SupervisionScope {
             });
         }
         None
-    }
-
-    pub(crate) fn announce_flag(&self) -> &AtomicBool {
-        &self.stop_announced
     }
 
     pub(crate) fn add_epochs(&self, n: u64) {
@@ -395,8 +413,9 @@ mod tests {
         let _g = locked();
         let scope = SupervisionScope::new();
         scope.cancel();
-        let err = scope.check("job/run").unwrap_err();
+        let _e = enter(&scope);
+        let err = check("job/run").unwrap_err();
         assert!(err.is_supervision_stop());
-        assert!(scope.stop_reason("job/run").is_some());
+        assert_eq!(stop_reason("job/run"), Some(Stop::Cancelled));
     }
 }

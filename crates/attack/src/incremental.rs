@@ -6,9 +6,10 @@
 //!
 //! * [`active`] resolves per-attacker `incremental` config fields against
 //!   the process-global `--incremental` / `BBGNN_INCR` switch.
-//! * [`engine_for`] builds an [`IncrProp`] from a [`Graph`], warm-started
-//!   from the artifact store when enabled (keyed by graph content hash +
-//!   hops — the same anti-aliasing discipline as `prep/propagate`).
+//! * [`engine_for`] builds an [`IncrProp`] from a [`Graph`] with
+//!   [`IncrConfig::new`]'s defaults, warm-started from the artifact store
+//!   when enabled (keyed by graph content hash + hops — the same
+//!   anti-aliasing discipline as `prep/propagate`).
 //! * [`commit_edge_flip`] / [`commit_feature_flip`] forward committed
 //!   perturbations into the engine and publish a store checkpoint of the
 //!   maintained state at every resync boundary, keyed by the engine's
@@ -31,14 +32,6 @@ pub fn active(flag: bool) -> bool {
     flag || bbgnn_linalg::incr::enabled()
 }
 
-/// Engine configuration from the environment (`BBGNN_INCR_RESYNC`,
-/// `BBGNN_INCR_SHADOW`), surfacing malformed values loudly at attack
-/// start rather than silently falling back.
-fn env_config(hops: usize) -> IncrConfig {
-    // lint: allow(panic) reason=malformed BBGNN_INCR_* environment is a configuration error; failing loudly at attack start matches the CLI layer's exit-on-bad-flag behavior
-    IncrConfig::from_env(hops).expect("invalid BBGNN_INCR_* environment")
-}
-
 /// Store key for the engine's maintained hop `k`, anti-aliased by the
 /// engine's full state hash (graph structure + feature bits + depth +
 /// step index).
@@ -55,7 +48,7 @@ fn state_key(state_hash: u64, hop: usize) -> bbgnn_store::Key {
 /// from `incr/state` artifacts published by a previous run over the same
 /// graph, and published for the next run on a cold start.
 pub fn engine_for(g: &Graph, hops: usize) -> IncrProp {
-    let cfg = env_config(hops);
+    let cfg = IncrConfig::new(hops);
     let nbrs: Vec<Vec<usize>> = (0..g.num_nodes())
         .map(|u| g.neighbors(u).collect())
         .collect();

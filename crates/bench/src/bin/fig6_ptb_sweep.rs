@@ -15,7 +15,7 @@
 
 use bbgnn::prelude::*;
 use bbgnn::scenario::dataset::paper_specs;
-use bbgnn::scenario::job::{EvalKind, EvalSpec, Job, JobSpec};
+use bbgnn::scenario::job::{EvalKind, Job};
 use bbgnn_bench::{config::ExpConfig, fault::FaultRunner, report::Table};
 
 fn main() {
@@ -86,17 +86,8 @@ fn main() {
             let mut cells = vec![format!("{rate}")];
             for (dname, kind) in &defenders {
                 for (atk, graph) in [("M", &meta_graph), ("P", &peega_graph)] {
-                    let job_spec = JobSpec {
-                        dataset: spec.name().to_string(),
-                        eval: EvalSpec {
-                            kind: EvalKind::Accuracy,
-                            runs: cfg.runs,
-                            scale: cfg.scale,
-                            rate,
-                        },
-                        seed: cfg.seed,
-                        ..JobSpec::default()
-                    };
+                    let mut job_spec = cfg.job_spec(spec.name(), EvalKind::Accuracy);
+                    job_spec.eval.rate = rate;
                     // The two poison graphs are shared across the rate's
                     // six cells, so each job takes the prepared graph; the
                     // key override preserves the historical checkpoint

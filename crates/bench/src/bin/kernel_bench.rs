@@ -227,7 +227,7 @@ fn main() {
                 }
             }
         });
-    let max_threads = cfg.resolved_threads();
+    let max_threads = bbgnn::exec::env_threads();
     let mut thread_counts = vec![1, 2, 4];
     if !thread_counts.contains(&max_threads) {
         thread_counts.push(max_threads);

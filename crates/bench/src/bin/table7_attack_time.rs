@@ -12,7 +12,7 @@
 
 use bbgnn::prelude::*;
 use bbgnn::scenario::dataset::paper_specs;
-use bbgnn::scenario::job::{EvalKind, EvalSpec, Job, JobSpec};
+use bbgnn::scenario::job::{EvalKind, Job};
 use bbgnn_bench::{config::ExpConfig, report::Table};
 
 fn main() {
@@ -38,20 +38,9 @@ fn main() {
     for kind in AttackerKind::paper_rows(cfg.rate) {
         let mut cells = vec![kind.name().to_string()];
         for (spec, g) in specs.iter().zip(&graphs) {
-            let job_spec = JobSpec {
-                dataset: spec.name().to_string(),
-                eval: EvalSpec {
-                    kind: EvalKind::AttackTime,
-                    runs: cfg.runs,
-                    scale: cfg.scale,
-                    rate: cfg.rate,
-                },
-                seed: cfg.seed,
-                ..JobSpec::default()
-            };
             let job = Job::from_parts(
                 format!("{}/{}", spec.name(), kind.name()),
-                job_spec,
+                cfg.job_spec(spec.name(), EvalKind::AttackTime),
                 Some(kind.clone()),
                 DefenderKind::Gcn,
             );

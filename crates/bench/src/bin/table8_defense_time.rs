@@ -11,7 +11,7 @@
 
 use bbgnn::prelude::*;
 use bbgnn::scenario::dataset::paper_specs;
-use bbgnn::scenario::job::{EvalKind, EvalSpec, Job, JobSpec};
+use bbgnn::scenario::job::{EvalKind, Job};
 use bbgnn_bench::{config::ExpConfig, fault::FaultRunner, report::Table};
 
 fn main() {
@@ -36,43 +36,28 @@ fn main() {
         .map(|s| (s.clone(), s.generate(cfg.scale, cfg.seed)))
         .collect();
 
-    // Union of all model names; cells are filled when the model applies to
-    // the dataset (GCN-Jaccard / GNAT's feature view skip Polblogs).
+    // Union of all model names; a cell is filled with the dataset's own
+    // registry column (GCN-Jaccard and GNAT's feature view skip Polblogs,
+    // whose GNAT is the 1-hop topology view Table VI measures).
     let all_columns = DefenderKind::paper_columns(false);
     for kind in &all_columns {
         let mut cells = vec![kind.name()];
         for (spec, g) in &graphs {
-            let applicable = DefenderKind::paper_columns(spec.identity_features())
-                .iter()
-                .any(|k| {
+            let column = DefenderKind::paper_columns(spec.identity_features())
+                .into_iter()
+                .find(|k| {
                     k.name() == kind.name()
                         || (kind.name() == "GNAT" && k.name().starts_with("GNAT"))
                 });
-            if !applicable {
+            let Some(column) = column else {
                 cells.push("-".to_string());
                 continue;
-            }
-            let concrete = if kind.name() == "GNAT" && spec.identity_features() {
-                DefenderKind::Gnat(GnatConfig::without_feature_view())
-            } else {
-                kind.clone()
-            };
-            let job_spec = JobSpec {
-                dataset: spec.name().to_string(),
-                eval: EvalSpec {
-                    kind: EvalKind::DefenseTime,
-                    runs: cfg.runs,
-                    scale: cfg.scale,
-                    rate: cfg.rate,
-                },
-                seed: cfg.seed,
-                ..JobSpec::default()
             };
             let job = Job::from_parts(
                 format!("{}/{}", spec.name(), kind.name()),
-                job_spec,
+                cfg.job_spec(spec.name(), EvalKind::DefenseTime),
                 None,
-                concrete,
+                column,
             );
             cells.push(harness.job(job, &ctx, Some(g)));
         }

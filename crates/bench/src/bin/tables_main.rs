@@ -20,7 +20,7 @@
 use bbgnn::prelude::*;
 use bbgnn::scenario::dataset::paper_specs;
 use bbgnn::scenario::eval::AttackRow;
-use bbgnn::scenario::job::{EvalKind, EvalSpec, Job, JobSpec};
+use bbgnn::scenario::job::{EvalKind, Job};
 use bbgnn_bench::{
     config::ExpConfig,
     fault::FaultRunner,
@@ -78,21 +78,11 @@ fn main() {
             }
             let mut cells = vec![row.name()];
             for (col, key) in columns.iter().zip(&keys) {
-                let job_spec = JobSpec {
-                    dataset: spec.name().to_string(),
-                    eval: EvalSpec {
-                        kind: EvalKind::Accuracy,
-                        runs: cfg.runs,
-                        scale: cfg.scale,
-                        rate: cfg.rate,
-                    },
-                    seed: cfg.seed,
-                    ..JobSpec::default()
-                };
                 // The row's poison is shared across columns, so the job
                 // gets the prepared graph (and no attacker of its own);
                 // the key override preserves the historical checkpoint
                 // format.
+                let job_spec = cfg.job_spec(spec.name(), EvalKind::Accuracy);
                 let job = Job::from_parts(key.as_str(), job_spec, None, col.clone());
                 let value = harness.job(job, &ctx, Some(&poisoned));
                 eprintln!("  {} x {} = {value}", row.name(), col.name());

@@ -1,22 +1,28 @@
-//! The one flag parser and init sequence every binary shares.
-//!
-//! Before this module, each experiment binary (and `bbgnn-serve`) either
-//! duplicated the infrastructure flag handling or grew its own ad-hoc
-//! peel-off loop. Now the shared surface lives here:
+//! The one flag parser, environment reader and init sequence every
+//! binary shares.
 //!
 //! * [`invalid`] / [`parse_value`] — the error-shaping helpers, so every
 //!   malformed flag or environment variable reports an
 //!   [`InvalidConfig`](BbgnnError::InvalidConfig) naming its source;
+//! * [`process_env`] — the process environment as the lookup callers
+//!   inject into [`InfraFlags::from_env`] and
+//!   [`ExpConfig::try_parse`](crate::config::ExpConfig::try_parse); tests
+//!   inject their own;
 //! * [`InfraFlags`] — the cross-cutting flags (`--threads --trace --store
-//!   --deadline --budget --faults`) with strict parse-time validation;
+//!   --deadline --budget --faults --incremental`) and their `BBGNN_*`
+//!   variables, validated strictly at parse time and stored typed;
 //! * [`InfraFlags::init`] — the one correct side-effect order (threads →
-//!   tracing → store → supervision → signals), which used to live inside
-//!   `ExpConfig` and is now callable by anything with an `InfraFlags`;
+//!   tracing → store → supervision → signals), which applies the parsed
+//!   values without parsing again;
 //! * [`extract_flag`] — the peel-off helper for binary-specific flags
 //!   (`kernel_bench --compare`, `bbgnn-serve --addr`) so custom flags and
 //!   shared flags can interleave on one command line.
+//!
+//! One rule for every `BBGNN_*` variable: set-but-empty means unset. Flag
+//! values stay strict: an empty value is an error naming the flag.
 
 use bbgnn_errors::{BbgnnError, BbgnnResult};
+use bbgnn_supervise::{fault, parse_duration, RunBudget};
 
 /// `InvalidConfig` naming the flag or environment variable at fault.
 pub fn invalid(what: &str, message: impl Into<String>) -> BbgnnError {
@@ -37,6 +43,12 @@ pub fn parse_value<T: std::str::FromStr>(
     value
         .parse()
         .map_err(|_| invalid(what, format!("expected {expected}, got {value:?}")))
+}
+
+/// The process environment, as the lookup entry points inject into
+/// [`InfraFlags::from_env`] and `ExpConfig::try_parse`.
+pub fn process_env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
 }
 
 /// Removes every `flag <value>` pair from `args`, returning the last
@@ -61,6 +73,18 @@ pub fn extract_flag(args: &[String], flag: &str) -> BbgnnResult<(Option<String>,
     Ok((value, rest))
 }
 
+/// The value-taking infra flags and the `BBGNN_*` variable that sets each
+/// one when the flag is absent. `--incremental` / `BBGNN_INCR` is the one
+/// valueless pair.
+const ENV_FLAGS: [(&str, &str); 6] = [
+    ("BBGNN_THREADS", "--threads"),
+    ("BBGNN_TRACE", "--trace"),
+    ("BBGNN_STORE", "--store"),
+    ("BBGNN_DEADLINE", "--deadline"),
+    ("BBGNN_BUDGET", "--budget"),
+    ("BBGNN_FAULTS", "--faults"),
+];
+
 /// The infrastructure flags every entry point accepts. All of them share
 /// one property: they change *how* a run executes (parallelism, tracing,
 /// caching, bounds, injected faults) but never the bytes a completed cell
@@ -75,14 +99,14 @@ pub struct InfraFlags {
     pub trace: Option<String>,
     /// Artifact-store root (`--store dir` / `BBGNN_STORE`).
     pub store: Option<String>,
-    /// Wall-clock deadline spec (`--deadline 90s`; validated here,
-    /// installed by [`init`](Self::init)).
-    pub deadline: Option<String>,
-    /// Resource-budget spec (`--budget epochs=500,queries=2M,mem=1Gi`).
-    pub budget: Option<String>,
-    /// Fault-injection plan (`--faults <seed>:<site>[@n][,...]`), same
-    /// spec language as `BBGNN_FAULTS` and validated against the §11
-    /// site catalog at parse time.
+    /// Process-wide supervision budget: `--deadline 90s` /
+    /// `BBGNN_DEADLINE` and `--budget epochs=500,queries=2M,mem=1Gi` /
+    /// `BBGNN_BUDGET`. The environment fills it first; each flag then
+    /// overwrites only the knobs it names.
+    pub budget: RunBudget,
+    /// Fault-injection plan (`--faults <seed>:<site>[@n][,...]` /
+    /// `BBGNN_FAULTS`), validated against the §11 site catalog at parse
+    /// time. The flag replaces the environment's plan.
     pub faults: Option<String>,
     /// Incremental rescoring for the greedy attackers (`--incremental` /
     /// `BBGNN_INCR=1`): maintain the surrogate propagation across flips
@@ -98,33 +122,29 @@ impl InfraFlags {
     pub const USAGE: &'static str =
         "--threads N --trace PATH --store DIR --deadline DUR --budget SPEC --faults SPEC --incremental";
 
-    /// Reads the environment half of the flags (`BBGNN_THREADS`,
-    /// `BBGNN_TRACE`, `BBGNN_STORE`, `BBGNN_INCR`). Deadline/budget/fault
-    /// variables are deliberately left to `bbgnn_supervise::init_from_env`
-    /// (the supervision layer owns their env semantics); a typo'd
-    /// `BBGNN_THREADS` is a loud error here, not a silent all-cores run.
+    /// Reads every infra variable (`BBGNN_THREADS`, `BBGNN_TRACE`,
+    /// `BBGNN_STORE`, `BBGNN_DEADLINE`, `BBGNN_BUDGET`, `BBGNN_FAULTS`,
+    /// `BBGNN_INCR`) through `env`, validating each exactly as
+    /// [`consume`](Self::consume) validates its flag: a typo'd variable is
+    /// an error naming it, not a silent all-cores or unbounded run. A
+    /// set-but-empty variable is unset.
     pub fn from_env(env: impl Fn(&str) -> Option<String>) -> BbgnnResult<Self> {
+        let env = |name: &str| env(name).filter(|v| !v.is_empty());
         let mut flags = Self::default();
-        if let Some(v) = env("BBGNN_THREADS") {
-            flags.threads = parse_value(Some(&v), "BBGNN_THREADS", "an integer (0 = auto)")?;
+        for (var, flag) in ENV_FLAGS {
+            if let Some(v) = env(var) {
+                flags.apply(flag, var, Some(&v))?;
+            }
         }
-        if let Some(v) = env("BBGNN_TRACE") {
-            flags.trace = Some(v);
-        }
-        if let Some(v) = env("BBGNN_STORE") {
-            flags.store = Some(v);
-        }
-        if let Some(v) = env("BBGNN_INCR") {
-            flags.incremental = match v.as_str() {
-                "1" | "true" => true,
-                "0" | "false" => false,
-                other => {
-                    return Err(invalid(
-                        "BBGNN_INCR",
-                        format!("expected 0/1/true/false, got {other:?}"),
-                    ))
-                }
-            };
+        match env("BBGNN_INCR").as_deref() {
+            None | Some("0" | "false") => {}
+            Some("1" | "true") => flags.incremental = true,
+            Some(other) => {
+                return Err(invalid(
+                    "BBGNN_INCR",
+                    format!("expected 0/1/true/false, got {other:?}"),
+                ))
+            }
         }
         Ok(flags)
     }
@@ -135,59 +155,58 @@ impl InfraFlags {
     /// `1` (valueless flag like `--incremental`), or `2` (`flag value`
     /// pair) — so callers advance their cursor by exactly that much.
     pub fn consume(&mut self, flag: &str, value: Option<&str>) -> BbgnnResult<usize> {
-        match flag {
+        self.apply(flag, flag, value)
+    }
+
+    /// [`consume`](Self::consume) with errors naming `what`: the flag
+    /// itself, or the variable that stands for it.
+    fn apply(&mut self, flag: &str, what: &str, value: Option<&str>) -> BbgnnResult<usize> {
+        let expected = match flag {
             "--incremental" => {
                 self.incremental = true;
                 return Ok(1);
             }
-            "--threads" => self.threads = parse_value(value, flag, "an integer (0 = auto)")?,
-            "--trace" => {
-                self.trace = Some(
-                    value
-                        .ok_or_else(|| invalid(flag, "requires a value (path)"))?
-                        .to_string(),
-                )
-            }
-            "--store" => {
-                self.store = Some(
-                    value
-                        .ok_or_else(|| invalid(flag, "requires a value (dir)"))?
-                        .to_string(),
-                )
-            }
-            "--deadline" => {
-                let spec = value.ok_or_else(|| invalid(flag, "requires a value (e.g. 90s, 2m)"))?;
-                bbgnn_supervise::parse_duration(spec).map_err(|e| invalid(flag, e))?;
-                self.deadline = Some(spec.to_string());
-            }
-            "--budget" => {
-                let spec = value.ok_or_else(|| {
-                    invalid(
-                        flag,
-                        "requires a value (e.g. epochs=500,queries=2M,mem=1Gi)",
-                    )
-                })?;
-                bbgnn_supervise::RunBudget::parse_spec(spec).map_err(|e| invalid(flag, e))?;
-                self.budget = Some(spec.to_string());
-            }
-            "--faults" => {
-                let spec = value
-                    .ok_or_else(|| invalid(flag, "requires a value (<seed>:<site>[@n][,...])"))?;
-                bbgnn_supervise::fault::validate(spec).map_err(|e| invalid(flag, e))?;
-                self.faults = Some(spec.to_string());
-            }
+            "--threads" => "an integer (0 = auto)",
+            "--trace" => "path",
+            "--store" => "dir",
+            "--deadline" => "e.g. 90s, 2m",
+            "--budget" => "e.g. epochs=500,queries=2M,mem=1Gi",
+            "--faults" => "<seed>:<site>[@n][,...]",
             _ => return Ok(0),
+        };
+        let value = value
+            .filter(|v| !v.is_empty())
+            .ok_or_else(|| invalid(what, format!("requires a value ({expected})")))?;
+        let bad = |e: String| invalid(what, e);
+        match flag {
+            "--threads" => self.threads = parse_value(Some(value), what, expected)?,
+            "--trace" => self.trace = Some(value.to_string()),
+            "--store" => self.store = Some(value.to_string()),
+            "--deadline" => self.budget.deadline = Some(parse_duration(value).map_err(bad)?),
+            "--budget" => {
+                let named = RunBudget::parse_spec(value).map_err(bad)?;
+                let budget = &mut self.budget;
+                budget.epochs = named.epochs.or(budget.epochs);
+                budget.queries = named.queries.or(budget.queries);
+                budget.mem_bytes = named.mem_bytes.or(budget.mem_bytes);
+            }
+            // `--faults`, the last flag of the match above.
+            _ => {
+                fault::validate(value).map_err(bad)?;
+                self.faults = Some(value.to_string());
+            }
         }
         Ok(2)
     }
 
     /// Applies the flags, in the one order that works (each step feeds
     /// the next): threads before any kernel runs, tracing before any
-    /// span-bearing code, the store before any cache-aware code, then
-    /// supervision — environment first, explicit flags overwriting the
-    /// knobs they name — and signal handlers last. Exits with status 2 on
-    /// failures that strict parsing cannot catch (unwritable trace path,
-    /// unusable store root).
+    /// span-bearing code, the store before any cache-aware code, then the
+    /// supervision budget and fault plan before any long-running loop, so
+    /// the very first check site already sees them, and signal handlers
+    /// last. Exits with status 2 on failures that strict parsing cannot
+    /// catch (unwritable trace path, unusable store root, a fault plan
+    /// that does not install).
     pub fn init(&self) {
         // The kernels read BBGNN_THREADS lazily (once, at first kernel
         // call — always after this, since flag parsing is the first thing
@@ -200,56 +219,31 @@ impl InfraFlags {
         // byte-identical either way (DESIGN.md §13).
         bbgnn::linalg::incr::set_enabled(self.incremental);
         if let Some(path) = &self.trace {
-            if let Err(e) = bbgnn_obs::init_to_path(path) {
-                eprintln!("error: --trace {path}: {e}");
-                std::process::exit(2);
-            }
+            bbgnn_obs::init_to_path(path).unwrap_or_else(|e| unusable("--trace", path, e));
         }
         if let Some(path) = &self.store {
-            if let Err(e) = bbgnn::store::init_to_path(path) {
-                eprintln!("error: --store {path}: {e}");
-                std::process::exit(2);
-            }
+            bbgnn::store::init_to_path(path).unwrap_or_else(|e| unusable("--store", path, e));
         }
-        // Supervision: BBGNN_DEADLINE / BBGNN_BUDGET / BBGNN_FAULTS first,
-        // then explicit flags overwrite the knobs they name. Installed
-        // before any long-running loop, so the very first check site
-        // already sees the caps.
-        if let Err(e) = bbgnn_supervise::init_from_env() {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-        let mut budget = bbgnn_supervise::RunBudget::default();
-        if let Some(spec) = &self.budget {
-            match bbgnn_supervise::RunBudget::parse_spec(spec) {
-                Ok(b) => budget = b,
-                // lint: allow(panic) reason=consume already validated the spec; Err is unreachable
-                Err(e) => panic!("--budget: {e}"),
-            }
-        }
-        if let Some(spec) = &self.deadline {
-            match bbgnn_supervise::parse_duration(spec) {
-                Ok(d) => budget.deadline = Some(d),
-                // lint: allow(panic) reason=consume already validated the duration; Err is unreachable
-                Err(e) => panic!("--deadline: {e}"),
-            }
-        }
-        bbgnn_supervise::install_budget(&budget);
+        bbgnn_supervise::install_budget(&self.budget);
         if let Some(spec) = &self.faults {
-            match bbgnn_supervise::fault::install(spec) {
-                Ok(()) => {}
-                // lint: allow(panic) reason=consume already validated the plan; Err is unreachable
-                Err(e) => panic!("--faults: {e}"),
-            }
+            fault::install(spec).unwrap_or_else(|e| unusable("--faults", spec, e));
         }
         // SIGINT/SIGTERM become cooperative cancellation from here on.
         bbgnn_supervise::signal::install();
     }
 }
 
+/// Reports an infra value that parsed but cannot be applied, and exits
+/// with status 2 like a malformed flag.
+fn unusable(flag: &str, value: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {flag} {value}: {e}");
+    std::process::exit(2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn no_env(_: &str) -> Option<String> {
         None
@@ -271,8 +265,8 @@ mod tests {
         assert_eq!(f.threads, 4);
         assert_eq!(f.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(f.store.as_deref(), Some("cache"));
-        assert_eq!(f.deadline.as_deref(), Some("90s"));
-        assert_eq!(f.budget.as_deref(), Some("epochs=5"));
+        assert_eq!(f.budget.deadline, Some(Duration::from_secs(90)));
+        assert_eq!(f.budget.epochs, Some(5));
         assert_eq!(f.faults.as_deref(), Some("7:fault/kernel_nan@2"));
     }
 
@@ -346,6 +340,32 @@ mod tests {
         let (f, rest) = drive(&["--incremental", "--incremental"]).unwrap();
         assert!(f.incremental);
         assert!(rest.is_empty());
+
+        // The budget merges knob by knob: the environment fills it, and
+        // each `--budget` / `--deadline` overwrites only what it names —
+        // `--deadline` overrides BBGNN_DEADLINE, a repeated `--budget`
+        // keeps the earlier one's knobs, and BBGNN_BUDGET's epochs survive.
+        let env = |name: &str| match name {
+            "BBGNN_DEADLINE" => Some("90s".to_string()),
+            "BBGNN_BUDGET" => Some("epochs=5,queries=9".to_string()),
+            _ => None,
+        };
+        let mut f = InfraFlags::from_env(env).unwrap();
+        for (flag, value) in [
+            ("--budget", "queries=2M"),
+            ("--deadline", "1s"),
+            ("--budget", "mem=1Gi"),
+        ] {
+            f.consume(flag, Some(value)).unwrap();
+        }
+        let mut want = RunBudget::parse_spec("epochs=5,queries=2M,mem=1Gi").unwrap();
+        want.deadline = Some(Duration::from_secs(1));
+        assert_eq!(f.budget, want);
+        // The flag's fault plan replaces the environment's.
+        let env = |name: &str| (name == "BBGNN_FAULTS").then(|| "1:fault/kernel_nan".to_string());
+        let mut f = InfraFlags::from_env(env).unwrap();
+        f.consume("--faults", Some("7:fault/pool_panic@2")).unwrap();
+        assert_eq!(f.faults.as_deref(), Some("7:fault/pool_panic@2"));
     }
 
     #[test]
@@ -380,7 +400,8 @@ mod tests {
                 other => panic!("expected InvalidConfig for {flag} {value}, got {other:?}"),
             }
         }
-        // Missing values are reported too, naming the flag.
+        // Missing and empty values are reported too, naming the flag: an
+        // empty `--store` must not root the store in the working directory.
         for flag in [
             "--threads",
             "--trace",
@@ -389,10 +410,12 @@ mod tests {
             "--budget",
             "--faults",
         ] {
-            assert!(matches!(
-                f.consume(flag, None),
-                Err(BbgnnError::InvalidConfig { ref what, .. }) if what == flag
-            ));
+            for value in [None, Some("")] {
+                assert!(matches!(
+                    f.consume(flag, value),
+                    Err(BbgnnError::InvalidConfig { ref what, .. }) if what == flag
+                ));
+            }
         }
     }
 
@@ -409,11 +432,25 @@ mod tests {
         assert_eq!(f.trace.as_deref(), Some("env.jsonl"));
         assert_eq!(f.store.as_deref(), Some("envcache"));
         assert_eq!(InfraFlags::from_env(no_env).unwrap(), InfraFlags::default());
-        let env = |name: &str| (name == "BBGNN_THREADS").then(|| "many".to_string());
-        assert!(matches!(
-            InfraFlags::from_env(env),
-            Err(BbgnnError::InvalidConfig { ref what, .. }) if what == "BBGNN_THREADS"
-        ));
+        // Set-but-empty is unset, for every variable.
+        let all_empty = |_: &str| Some(String::new());
+        assert_eq!(
+            InfraFlags::from_env(all_empty).unwrap(),
+            InfraFlags::default()
+        );
+        for (var, value) in [
+            ("BBGNN_THREADS", "many"),
+            ("BBGNN_DEADLINE", "soonish"),
+            ("BBGNN_BUDGET", "steps=3"),
+            ("BBGNN_FAULTS", "7:fault/unknown_site"),
+            ("BBGNN_FAULTS", "noseed"),
+        ] {
+            let env = |name: &str| (name == var).then(|| value.to_string());
+            match InfraFlags::from_env(env) {
+                Err(BbgnnError::InvalidConfig { what, .. }) => assert_eq!(what, var),
+                other => panic!("expected InvalidConfig for {var}={value}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Experiment configuration from CLI flags and environment variables.
 //!
 //! The experiment-shaped knobs (`--scale --runs --rate --seed --dataset
-//! --out`) are parsed here; the cross-cutting infrastructure flags
-//! (`--threads --trace --store --deadline --budget --faults`) are
-//! delegated to the shared [`crate::cli`] module, which also owns the
-//! init-time side-effect sequence.
+//! --out`) are parsed here; the cross-cutting infrastructure flags and
+//! their variables are [`InfraFlags`], read by the shared [`crate::cli`]
+//! module, which also owns the init-time side-effect sequence.
+//! [`ExpConfig::job_spec`] maps the experiment knobs onto the scenario
+//! layer's [`JobSpec`].
 
-use crate::cli::{invalid, parse_value, InfraFlags};
+use crate::cli::{invalid, parse_value, process_env, InfraFlags};
+use bbgnn::scenario::job::{EvalKind, EvalSpec, JobSpec};
 use bbgnn_errors::BbgnnResult;
 
 /// Shared experiment knobs.
 ///
 /// Resolution order per field: CLI flag (`--scale 0.2`) > environment
-/// variable (`BBGNN_SCALE=0.2`) > default. The defaults are sized so each
-/// experiment binary finishes on a laptop CPU in minutes; pass a larger
-/// `--scale` to approach the paper's full dataset sizes.
+/// variable (`BBGNN_SCALE=0.2`; set-but-empty is unset) > default. The
+/// defaults are sized so each experiment binary finishes on a laptop CPU
+/// in minutes; pass a larger `--scale` to approach the paper's full
+/// dataset sizes.
 #[derive(Clone, Debug)]
 pub struct ExpConfig {
     /// Dataset scale factor in `(0, 1]` (fraction of Table III sizes).
@@ -29,38 +32,13 @@ pub struct ExpConfig {
     pub dataset: Option<String>,
     /// Directory for CSV/JSON result dumps.
     pub out_dir: String,
-    /// Kernel worker threads (`--threads N` / `BBGNN_THREADS`; `0` = the
-    /// machine's available parallelism). Results are bitwise-identical for
-    /// every value — this knob trades wall-clock only.
-    pub threads: usize,
-    /// Trace output path (`--trace out.jsonl` / `BBGNN_TRACE`). `None`
-    /// (default) keeps tracing disabled at near-zero overhead. Tracing
-    /// never changes experiment results — traced and untraced runs are
-    /// byte-identical (enforced by the CI tracing job).
-    pub trace: Option<String>,
-    /// Artifact-store root (`--store dir` / `BBGNN_STORE`). `None`
-    /// (default) disables caching. A warm-started run is byte-identical to
-    /// a cold one — the store only skips recomputation of bit-for-bit
-    /// reproducible intermediates (enforced by the CI store job).
-    pub store: Option<String>,
-    /// Wall-clock deadline spec (`--deadline 90s` / `BBGNN_DEADLINE`).
-    /// `None` (default) leaves supervision off. On expiry, loops stop at
-    /// their next check site and the run exits cleanly with degraded
-    /// cells; with no deadline the run is byte-identical to pre-supervision
-    /// output (zero-cost-off, enforced by the CI chaos job).
-    pub deadline: Option<String>,
-    /// Resource-budget spec (`--budget epochs=500,queries=2M,mem=1Gi` /
-    /// `BBGNN_BUDGET`). Same degradation semantics as `deadline`.
-    pub budget: Option<String>,
-    /// Fault-injection plan (`--faults <seed>:<site>[@n][,...]` /
-    /// `BBGNN_FAULTS`). `None` (default) injects nothing; the spec is
-    /// validated against the DESIGN.md §11 site catalog at parse time.
-    pub faults: Option<String>,
-    /// Incremental attack rescoring (`--incremental` / `BBGNN_INCR=1`).
-    /// `false` (default) keeps the dense from-scratch rescore. Flip
-    /// sequences — and every table/figure byte — are identical either way
-    /// (DESIGN.md §13); the flag only changes Table VII wall-clock.
-    pub incremental: bool,
+    /// The infrastructure flags: threads, tracing, store, supervision,
+    /// fault injection and incremental rescoring. Each changes how a run
+    /// executes, never a completed cell's bytes (DESIGN.md §7, §13):
+    /// threaded, traced, warm-started and incremental runs are
+    /// byte-identical to plain ones (enforced by the CI tracing, store
+    /// and incremental-parity jobs).
+    pub infra: InfraFlags,
 }
 
 impl Default for ExpConfig {
@@ -72,13 +50,7 @@ impl Default for ExpConfig {
             seed: 7,
             dataset: None,
             out_dir: "results".to_string(),
-            threads: 0,
-            trace: None,
-            store: None,
-            deadline: None,
-            budget: None,
-            faults: None,
-            incremental: false,
+            infra: InfraFlags::default(),
         }
     }
 }
@@ -86,7 +58,7 @@ impl Default for ExpConfig {
 impl ExpConfig {
     /// Parses the process arguments and environment, exiting with a usage
     /// message on malformed input. Experiment binaries call this; library
-    /// code and tests use [`try_from_args`](Self::try_from_args).
+    /// code and tests use [`try_parse`](Self::try_parse).
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::init_from(&args)
@@ -96,9 +68,9 @@ impl ExpConfig {
     /// the entry point for binaries that pre-extract their own flags
     /// (e.g. `kernel_bench --compare`) before handing the rest over.
     pub fn init_from(args: &[String]) -> Self {
-        match Self::try_parse(args, |name| std::env::var(name).ok()) {
+        match Self::try_parse(args, process_env) {
             Ok(cfg) => {
-                cfg.infra().init();
+                cfg.infra.init();
                 cfg
             }
             Err(e) => {
@@ -109,31 +81,12 @@ impl ExpConfig {
         }
     }
 
-    /// The infrastructure half of this config, as the shared
-    /// [`InfraFlags`] the init sequence consumes.
-    pub fn infra(&self) -> InfraFlags {
-        InfraFlags {
-            threads: self.threads,
-            trace: self.trace.clone(),
-            store: self.store.clone(),
-            deadline: self.deadline.clone(),
-            budget: self.budget.clone(),
-            faults: self.faults.clone(),
-            incremental: self.incremental,
-        }
-    }
-
-    /// Parses the process arguments and environment, reporting malformed
-    /// input as [`BbgnnError::InvalidConfig`] naming the offending flag or
-    /// environment variable.
-    pub fn try_from_args() -> BbgnnResult<Self> {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::try_parse(&args, |name| std::env::var(name).ok())
-    }
-
-    /// Testable core of [`try_from_args`](Self::try_from_args): explicit
-    /// argument list and environment lookup.
+    /// Parses an explicit argument list against an environment lookup,
+    /// reporting malformed input as
+    /// [`InvalidConfig`](bbgnn_errors::BbgnnError::InvalidConfig) naming
+    /// the offending flag or environment variable.
     pub fn try_parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> BbgnnResult<Self> {
+        let env = |name: &str| env(name).filter(|v| !v.is_empty());
         let mut cfg = Self::default();
         if let Some(v) = env("BBGNN_SCALE") {
             cfg.scale = parse_value(Some(&v), "BBGNN_SCALE", "a float")?;
@@ -150,12 +103,12 @@ impl ExpConfig {
         if let Some(v) = env("BBGNN_OUT") {
             cfg.out_dir = v;
         }
-        let mut infra = InfraFlags::from_env(&env)?;
+        cfg.infra = InfraFlags::from_env(env)?;
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
             let value = args.get(i + 1).map(String::as_str);
-            let consumed = infra.consume(flag, value)?;
+            let consumed = cfg.infra.consume(flag, value)?;
             if consumed > 0 {
                 i += consumed;
                 continue;
@@ -188,13 +141,6 @@ impl ExpConfig {
             }
             i += 2;
         }
-        cfg.threads = infra.threads;
-        cfg.trace = infra.trace;
-        cfg.store = infra.store;
-        cfg.deadline = infra.deadline;
-        cfg.budget = infra.budget;
-        cfg.faults = infra.faults;
-        cfg.incremental = infra.incremental;
         if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
             return Err(invalid(
                 "--scale / BBGNN_SCALE",
@@ -213,12 +159,20 @@ impl ExpConfig {
         Ok(cfg)
     }
 
-    /// Kernel worker count this run will actually use.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            bbgnn::exec::env_threads()
-        } else {
-            self.threads
+    /// The scenario job spec for one cell of `dataset` under evaluation
+    /// `kind`: the one mapping of `--runs --scale --rate --seed` onto the
+    /// wire spec `bbgnn-serve` also accepts.
+    pub fn job_spec(&self, dataset: &str, kind: EvalKind) -> JobSpec {
+        JobSpec {
+            dataset: dataset.to_string(),
+            eval: EvalSpec {
+                kind,
+                runs: self.runs,
+                scale: self.scale,
+                rate: self.rate,
+            },
+            seed: self.seed,
+            ..JobSpec::default()
         }
     }
 
@@ -235,7 +189,7 @@ impl ExpConfig {
             self.runs,
             self.rate,
             self.seed,
-            self.resolved_threads()
+            bbgnn::exec::env_threads()
         )
     }
 
@@ -250,7 +204,7 @@ impl ExpConfig {
     /// execution strategy with bitwise-identical output (§13). Folding any
     /// of them in would make `--threads 1` checkpoints unusable under
     /// `--threads 8`.
-    // lint: key_fields exclude(out_dir, threads, trace, store, deadline, budget, faults, incremental) reason=infra knobs; §7/§13 results are invariant to them and a resume must survive changing them
+    // lint: key_fields exclude(out_dir, infra) reason=infra knobs; §7/§13 results are invariant to them and a resume must survive changing them
     pub fn fingerprint(&self, experiment: &str) -> String {
         format!(
             "{experiment}|scale={}|runs={}|rate={}|seed={}|dataset={}",
@@ -267,6 +221,8 @@ impl ExpConfig {
 mod tests {
     use super::*;
     use bbgnn_errors::BbgnnError;
+    use bbgnn_supervise::RunBudget;
+    use std::time::Duration;
 
     fn no_env(_: &str) -> Option<String> {
         None
@@ -346,14 +302,13 @@ mod tests {
     #[test]
     fn threads_flag_and_env_are_parsed_and_validated() {
         let c = ExpConfig::try_parse(&argv(&["--threads", "4"]), no_env).unwrap();
-        assert_eq!(c.threads, 4);
-        assert_eq!(c.resolved_threads(), 4);
+        assert_eq!(c.infra.threads, 4);
         let env = |name: &str| (name == "BBGNN_THREADS").then(|| "2".to_string());
         let c = ExpConfig::try_parse(&[], env).unwrap();
-        assert_eq!(c.threads, 2);
-        // 0 = auto resolves to at least one worker.
-        let c = ExpConfig::try_parse(&[], no_env).unwrap();
-        assert!(c.resolved_threads() >= 1);
+        assert_eq!(c.infra.threads, 2);
+        // 0 = auto, and so is a set-but-empty variable.
+        let env = |name: &str| (name == "BBGNN_THREADS").then(String::new);
+        assert_eq!(ExpConfig::try_parse(&[], env).unwrap().infra.threads, 0);
         // A typo'd value is a loud error here, not a silent fall-back.
         let env = |name: &str| (name == "BBGNN_THREADS").then(|| "many".to_string());
         assert!(matches!(
@@ -365,15 +320,15 @@ mod tests {
     #[test]
     fn trace_flag_and_env_are_parsed() {
         let c = ExpConfig::try_parse(&argv(&["--trace", "out.jsonl"]), no_env).unwrap();
-        assert_eq!(c.trace.as_deref(), Some("out.jsonl"));
+        assert_eq!(c.infra.trace.as_deref(), Some("out.jsonl"));
         let env = |name: &str| (name == "BBGNN_TRACE").then(|| "env.jsonl".to_string());
         let c = ExpConfig::try_parse(&[], env).unwrap();
-        assert_eq!(c.trace.as_deref(), Some("env.jsonl"));
+        assert_eq!(c.infra.trace.as_deref(), Some("env.jsonl"));
         // Flag wins over env, default is off.
         let env = |name: &str| (name == "BBGNN_TRACE").then(|| "env.jsonl".to_string());
         let c = ExpConfig::try_parse(&argv(&["--trace", "flag.jsonl"]), env).unwrap();
-        assert_eq!(c.trace.as_deref(), Some("flag.jsonl"));
-        assert_eq!(ExpConfig::try_parse(&[], no_env).unwrap().trace, None);
+        assert_eq!(c.infra.trace.as_deref(), Some("flag.jsonl"));
+        assert_eq!(ExpConfig::try_parse(&[], no_env).unwrap().infra.trace, None);
         assert!(matches!(
             ExpConfig::try_parse(&argv(&["--trace"]), no_env),
             Err(BbgnnError::InvalidConfig { ref what, .. }) if what == "--trace"
@@ -381,33 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_trace() {
-        // Tracing never changes results, so a checkpoint from an untraced
-        // run must be resumable under --trace (and vice versa).
-        let a = ExpConfig {
-            trace: Some("t.jsonl".to_string()),
-            ..Default::default()
-        };
-        let b = ExpConfig::default();
-        assert_eq!(a.fingerprint("t"), b.fingerprint("t"));
-    }
-
-    #[test]
     fn store_flag_and_env_are_parsed_and_fingerprint_ignores_store() {
         let c = ExpConfig::try_parse(&argv(&["--store", "cache"]), no_env).unwrap();
-        assert_eq!(c.store.as_deref(), Some("cache"));
+        assert_eq!(c.infra.store.as_deref(), Some("cache"));
         let env = |name: &str| (name == "BBGNN_STORE").then(|| "envcache".to_string());
         let c = ExpConfig::try_parse(&[], env).unwrap();
-        assert_eq!(c.store.as_deref(), Some("envcache"));
-        assert_eq!(ExpConfig::try_parse(&[], no_env).unwrap().store, None);
-        // A warm-started run is byte-identical to a cold one, so a
-        // checkpoint from a store-less run must be resumable with --store
-        // (and vice versa).
-        let a = ExpConfig {
-            store: Some("cache".to_string()),
-            ..Default::default()
-        };
-        assert_eq!(a.fingerprint("t"), ExpConfig::default().fingerprint("t"));
+        assert_eq!(c.infra.store.as_deref(), Some("envcache"));
+        assert_eq!(ExpConfig::try_parse(&[], no_env).unwrap().infra.store, None);
+        // An empty BBGNN_STORE is unset: it must not root a store in the
+        // working directory.
+        let env = |name: &str| (name == "BBGNN_STORE").then(String::new);
+        assert_eq!(ExpConfig::try_parse(&[], env).unwrap().infra.store, None);
     }
 
     #[test]
@@ -417,8 +356,9 @@ mod tests {
             no_env,
         )
         .unwrap();
-        assert_eq!(c.deadline.as_deref(), Some("90s"));
-        assert_eq!(c.budget.as_deref(), Some("epochs=5,mem=1Gi"));
+        let mut want = RunBudget::parse_spec("epochs=5,mem=1Gi").unwrap();
+        want.deadline = Some(Duration::from_secs(90));
+        assert_eq!(c.infra.budget, want);
         // Malformed specs are loud config errors naming the flag.
         assert!(matches!(
             ExpConfig::try_parse(&argv(&["--deadline", "soonish"]), no_env),
@@ -428,58 +368,48 @@ mod tests {
             ExpConfig::try_parse(&argv(&["--budget", "steps=3"]), no_env),
             Err(BbgnnError::InvalidConfig { ref what, .. }) if what == "--budget"
         ));
-        // Supervision only truncates work — completed checkpoint cells stay
-        // valid — so the knobs stay out of the fingerprint and a bounded
-        // run can resume an unbounded one (and vice versa).
-        let a = ExpConfig {
-            deadline: Some("90s".to_string()),
-            budget: Some("epochs=5".to_string()),
-            ..Default::default()
-        };
-        assert_eq!(a.fingerprint("t"), ExpConfig::default().fingerprint("t"));
     }
 
     #[test]
     fn faults_flag_is_validated_and_fingerprint_ignored() {
         let c = ExpConfig::try_parse(&argv(&["--faults", "7:fault/kernel_nan@2"]), no_env).unwrap();
-        assert_eq!(c.faults.as_deref(), Some("7:fault/kernel_nan@2"));
+        assert_eq!(c.infra.faults.as_deref(), Some("7:fault/kernel_nan@2"));
         assert!(matches!(
             ExpConfig::try_parse(&argv(&["--faults", "7:fault/nope"]), no_env),
             Err(BbgnnError::InvalidConfig { ref what, .. }) if what == "--faults"
         ));
-        // Injected faults only perturb execution; completed cells are
-        // byte-identical, so the plan stays out of the fingerprint.
-        let a = ExpConfig {
-            faults: Some("7:fault/kernel_nan".to_string()),
-            ..Default::default()
-        };
-        assert_eq!(a.fingerprint("t"), ExpConfig::default().fingerprint("t"));
     }
 
     #[test]
     fn incremental_flag_and_env_are_parsed_and_fingerprint_ignored() {
         // Valueless flag: must not swallow the following argument.
         let c = ExpConfig::try_parse(&argv(&["--incremental", "--runs", "5"]), no_env).unwrap();
-        assert!(c.incremental);
+        assert!(c.infra.incremental);
         assert_eq!(c.runs, 5);
         let env = |name: &str| (name == "BBGNN_INCR").then(|| "1".to_string());
-        assert!(ExpConfig::try_parse(&[], env).unwrap().incremental);
-        assert!(!ExpConfig::try_parse(&[], no_env).unwrap().incremental);
+        assert!(ExpConfig::try_parse(&[], env).unwrap().infra.incremental);
+        assert!(!ExpConfig::try_parse(&[], no_env).unwrap().infra.incremental);
         // Malformed env is a loud error naming the variable.
         let env = |name: &str| (name == "BBGNN_INCR").then(|| "maybe".to_string());
         assert!(matches!(
             ExpConfig::try_parse(&[], env),
             Err(BbgnnError::InvalidConfig { ref what, .. }) if what == "BBGNN_INCR"
         ));
-        // Incremental runs commit byte-identical flip sequences, so a
-        // checkpoint from a dense run must be resumable under
-        // --incremental (and vice versa) — the knob stays out of the
-        // fingerprint like every other infra flag.
+    }
+
+    #[test]
+    fn fingerprint_ignores_trace() {
+        // Tracing never changes results, so a checkpoint from an untraced
+        // run must be resumable under --trace (and vice versa).
         let a = ExpConfig {
-            incremental: true,
+            infra: InfraFlags {
+                trace: Some("t.jsonl".to_string()),
+                ..InfraFlags::default()
+            },
             ..Default::default()
         };
-        assert_eq!(a.fingerprint("t"), ExpConfig::default().fingerprint("t"));
+        let b = ExpConfig::default();
+        assert_eq!(a.fingerprint("t"), b.fingerprint("t"));
     }
 
     #[test]
@@ -487,14 +417,74 @@ mod tests {
         // Bitwise determinism in the worker count means a checkpoint from a
         // 1-thread run must be resumable on 8 threads.
         let a = ExpConfig {
-            threads: 1,
+            infra: InfraFlags {
+                threads: 1,
+                ..InfraFlags::default()
+            },
             ..Default::default()
         };
         let b = ExpConfig {
-            threads: 8,
+            infra: InfraFlags {
+                threads: 8,
+                ..InfraFlags::default()
+            },
             ..Default::default()
         };
         assert_eq!(a.fingerprint("t"), b.fingerprint("t"));
+    }
+
+    #[test]
+    fn fingerprint_ignores_every_infra_flag() {
+        // No infra flag changes a completed cell's bytes: threads (bitwise
+        // determinism), tracing, the store (a warm start replays exact
+        // bytes), supervision (it only truncates work, and completed cells
+        // stay valid), injected faults (they only perturb execution) and
+        // incremental rescoring (identical flip sequences). A checkpoint
+        // from a plain run must resume under any of them, and vice versa.
+        let a = ExpConfig {
+            infra: InfraFlags {
+                threads: 8,
+                trace: Some("t.jsonl".to_string()),
+                store: Some("cache".to_string()),
+                budget: RunBudget {
+                    deadline: Some(Duration::from_secs(90)),
+                    epochs: Some(5),
+                    queries: Some(7),
+                    mem_bytes: Some(1 << 30),
+                },
+                faults: Some("7:fault/kernel_nan".to_string()),
+                incremental: true,
+            },
+            ..Default::default()
+        };
+        let b = ExpConfig {
+            infra: InfraFlags {
+                threads: 1,
+                ..InfraFlags::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(a.fingerprint("t"), b.fingerprint("t"));
+        assert_eq!(a.fingerprint("t"), ExpConfig::default().fingerprint("t"));
+    }
+
+    #[test]
+    fn job_spec_carries_the_experiment_knobs() {
+        let c = ExpConfig::try_parse(
+            &argv(&[
+                "--runs", "2", "--scale", "0.3", "--rate", "0.05", "--seed", "11",
+            ]),
+            no_env,
+        )
+        .unwrap();
+        let spec = c.job_spec("citeseer", EvalKind::DefenseTime);
+        assert_eq!(spec.dataset, "citeseer");
+        assert_eq!(spec.eval.kind, EvalKind::DefenseTime);
+        assert_eq!(
+            (spec.eval.runs, spec.eval.scale, spec.eval.rate, spec.seed),
+            (2, 0.3, 0.05, 11)
+        );
+        assert_eq!((spec.attack, spec.defense, spec.budget), (None, None, None));
     }
 
     #[test]

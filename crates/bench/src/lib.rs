@@ -5,12 +5,14 @@
 //! provides the shared pieces:
 //!
 //! * [`cli`] — the shared infrastructure flag parser (`--threads --trace
-//!   --store --deadline --budget --faults`) and the one init-time
-//!   side-effect sequence every entry point runs;
-//! * [`config::ExpConfig`] — scale / runs / rate / seed, from CLI flags or
-//!   `BBGNN_*` environment variables (malformed input surfaces as
+//!   --store --deadline --budget --faults --incremental`), the one reader
+//!   of their `BBGNN_*` variables, and the one init-time side-effect
+//!   sequence every entry point runs;
+//! * [`config::ExpConfig`] — scale / runs / rate / seed plus the infra
+//!   flags it holds, from CLI flags or `BBGNN_*` environment variables
+//!   (malformed input surfaces as
 //!   [`InvalidConfig`](bbgnn_errors::BbgnnError::InvalidConfig) naming the
-//!   offending flag);
+//!   offending flag), and the `JobSpec` of each job-based table cell;
 //! * [`fault`] — the checkpointing cell runner: closure cells and
 //!   [`bbgnn_scenario::job::Job`] cells both run through the scenario
 //!   layer's one cell boundary ([`bbgnn_scenario::job::run_cell`]), with

@@ -19,8 +19,9 @@
 //! full recompute after every flip** — not merely eps-close. The periodic
 //! resync (`resync_stride`) and the [`IncrConfig::shadow`] per-step
 //! full-recompute check are defense-in-depth for that claim, not drift
-//! repair; shadow mode asserts bitwise equality and is how the
-//! equivalence property suite exercises the contract.
+//! repair. Attackers run with [`IncrConfig::new`]'s defaults; shadow mode
+//! asserts bitwise equality, and the equivalence property suite and the
+//! unit tests set it (and the stride) directly to exercise the contract.
 //!
 //! [`IncrNorm`] is the adjacency-only half: it maintains the normalized
 //! adjacency `Â_n` itself and can materialize a *virtually flipped*
@@ -85,29 +86,6 @@ impl IncrConfig {
             shadow: false,
             threads: 0,
         }
-    }
-
-    /// [`new`](Self::new), then applies the `BBGNN_INCR_RESYNC` (stride,
-    /// `0` = never) and `BBGNN_INCR_SHADOW` (`1`/`true`) environment
-    /// overrides. Malformed values are loud errors naming the variable.
-    pub fn from_env(hops: usize) -> Result<Self, String> {
-        let mut cfg = Self::new(hops);
-        if let Ok(v) = std::env::var("BBGNN_INCR_RESYNC") {
-            cfg.resync_stride = v
-                .trim()
-                .parse()
-                .map_err(|_| format!("BBGNN_INCR_RESYNC: expected an integer, got {v:?}"))?;
-        }
-        if let Ok(v) = std::env::var("BBGNN_INCR_SHADOW") {
-            cfg.shadow = match v.trim() {
-                "1" | "true" => true,
-                "0" | "false" | "" => false,
-                other => {
-                    return Err(format!("BBGNN_INCR_SHADOW: expected 0/1, got {other:?}"));
-                }
-            };
-        }
-        Ok(cfg)
     }
 }
 

@@ -37,8 +37,8 @@
 //!
 //! [`env_threads`] reads `BBGNN_THREADS` once per process (cached), falling
 //! back to the machine's available parallelism. Invalid or zero values fall
-//! back to the default; `bench::config` additionally validates the variable
-//! strictly for experiment binaries.
+//! back to the default; `bench::cli` additionally validates the variable
+//! strictly for experiment binaries and `bbgnn-serve`.
 
 use crate::{CsrMatrix, DenseMatrix};
 use std::cell::RefCell;
@@ -150,35 +150,10 @@ impl ThreadPool {
             body(0, out);
             return;
         }
-        // Worker utilization: per-worker busy time lands in each scoped
-        // thread's counter aggregate (drained when the thread exits);
-        // region wall time accrues on the calling thread. Report-side,
-        // utilization = busy_ns / (region_ns * threads).
-        let traced = bbgnn_obs::enabled();
-        let region = bbgnn_obs::kernel_timer("pool/region");
-        // Pool workers inherit the submitting thread's supervision scope,
-        // so check sites reached from inside a region (the GF-Attack
-        // eigensolver exception, §11) observe the right tenant.
-        let supervision = bbgnn_supervise::current_scope();
         let band = rows.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = out
-                .chunks_mut(band * row_len)
-                .enumerate()
-                .map(|(b, chunk)| {
-                    let body = &body;
-                    let supervision = supervision.as_ref();
-                    scope.spawn(move || {
-                        maybe_injected_worker_panic();
-                        let _scope = supervision.map(bbgnn_supervise::enter);
-                        let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
-                        body(b * band, chunk)
-                    })
-                })
-                .collect();
-            join_all(handles);
+        run_region(out.chunks_mut(band * row_len).enumerate(), |(b, chunk)| {
+            body(b * band, chunk)
         });
-        drop(region);
     }
 
     /// Deterministic parallel map-reduce over `0..items`.
@@ -235,38 +210,49 @@ impl ThreadPool {
             return Some(map(0..items));
         }
         let chunk = items.div_ceil(workers);
-        let mut bounds = Vec::with_capacity(workers);
-        let mut lo = 0;
-        while lo < items {
-            let hi = (lo + chunk).min(items);
-            bounds.push(lo..hi);
-            lo = hi;
-        }
-        let traced = bbgnn_obs::enabled();
-        let _region = bbgnn_obs::kernel_timer("pool/region");
-        // Same scope propagation as `for_each_row_band`: map closures may
-        // reach supervised check sites (GF-Attack rescoring, §11).
-        let supervision = bbgnn_supervise::current_scope();
-        let parts: Vec<T> = std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
-                .into_iter()
-                .map(|range| {
-                    let map = &map;
-                    let supervision = supervision.as_ref();
-                    scope.spawn(move || {
-                        maybe_injected_worker_panic();
-                        let _scope = supervision.map(bbgnn_supervise::enter);
-                        let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
-                        map(range)
-                    })
-                })
-                .collect();
-            join_all(handles)
-        });
-        let mut it = parts.into_iter();
-        let first = it.next()?;
-        Some(it.fold(first, &mut fold))
+        let ranges = (0..items)
+            .step_by(chunk)
+            .map(|lo| lo..(lo + chunk).min(items));
+        let mut parts = run_region(ranges, map).into_iter();
+        let first = parts.next()?;
+        Some(parts.fold(first, &mut fold))
     }
+}
+
+/// Runs `work` on one scoped worker per item and returns the results in
+/// item order: the one worker start-up path of every pool region.
+///
+/// Worker utilization: per-worker busy time lands in each scoped thread's
+/// counter aggregate (drained when the thread exits); region wall time
+/// accrues on the calling thread. Report-side, utilization =
+/// busy_ns / (region_ns * threads). Workers inherit the submitting
+/// thread's supervision scope, so check sites reached from inside a
+/// region (the GF-Attack eigensolver exception, §11) observe the right
+/// tenant.
+fn run_region<I, T, W>(items: impl Iterator<Item = I>, work: W) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    W: Fn(I) -> T + Sync,
+{
+    let traced = bbgnn_obs::enabled();
+    let _region = bbgnn_obs::kernel_timer("pool/region");
+    let supervision = bbgnn_supervise::current_scope();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .map(|item| {
+                let work = &work;
+                let supervision = supervision.as_ref();
+                scope.spawn(move || {
+                    maybe_injected_worker_panic();
+                    let _scope = supervision.map(bbgnn_supervise::enter);
+                    let _busy = traced.then(|| bbgnn_obs::kernel_timer("pool/worker_busy"));
+                    work(item)
+                })
+            })
+            .collect();
+        join_all(handles)
+    })
 }
 
 /// Joins every worker of a region and returns their results in spawn

@@ -34,11 +34,12 @@
 //!
 //! ## Enabling
 //!
-//! Set `BBGNN_TRACE=/path/to/trace.jsonl` (honored by
-//! [`init_from_env`], which every experiment binary calls via its config
-//! parser) or pass `--trace path` to a bench binary. The `trace_report`
-//! binary aggregates a trace into per-phase self/total-time tables and
-//! per-epoch training curves.
+//! Pass `--trace path` to a bench binary or `bbgnn-serve`, or set
+//! `BBGNN_TRACE=/path/to/trace.jsonl`: the shared flag parser
+//! (`bbgnn_bench::cli::InfraFlags`) reads both and calls
+//! [`init_to_path`]; an unwritable path is a startup error. The
+//! `trace_report` binary aggregates a trace into per-phase self/total-time
+//! tables and per-epoch training curves.
 //!
 //! ## Schema (one JSON object per line, hand-rolled like the checkpoint
 //! format — no serde)
@@ -317,22 +318,6 @@ pub fn init_to_path(path: &str) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
     init_to_writer(Box::new(file));
     Ok(())
-}
-
-/// Enables tracing when `BBGNN_TRACE` names a path; returns whether
-/// tracing is now on. A path that cannot be created is reported on stderr
-/// and tracing stays off (observability must never kill an experiment).
-pub fn init_from_env() -> bool {
-    match std::env::var("BBGNN_TRACE") {
-        Ok(path) if !path.trim().is_empty() => match init_to_path(path.trim()) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!("warning: BBGNN_TRACE={path}: {e}; tracing disabled");
-                false
-            }
-        },
-        _ => enabled(),
-    }
 }
 
 /// Drains the calling thread's counter aggregates and flushes the sink.

@@ -59,32 +59,13 @@ pub enum AttackerKind {
 }
 
 impl AttackerKind {
-    /// The paper's attacker rows at perturbation rate `rate`, tuned for
-    /// laptop-scale graphs.
+    /// The paper's attacker rows at perturbation rate `rate` — the first
+    /// five of [`ATTACKER_NAMES`], with [`attacker_by_name`]'s tuning.
     pub fn paper_rows(rate: f64) -> Vec<AttackerKind> {
-        vec![
-            AttackerKind::Pgd(PgdConfig {
-                rate,
-                ..Default::default()
-            }),
-            AttackerKind::MinMax(MinMaxConfig {
-                rate,
-                ..Default::default()
-            }),
-            AttackerKind::Metattack(MetattackConfig {
-                rate,
-                retrain_every: 5,
-                ..Default::default()
-            }),
-            AttackerKind::GfAttack(GfAttackConfig {
-                rate,
-                ..Default::default()
-            }),
-            AttackerKind::Peega(PeegaConfig {
-                rate,
-                ..Default::default()
-            }),
-        ]
+        ATTACKER_NAMES[..5]
+            .iter()
+            .filter_map(|name| attacker_by_name(name, rate).ok())
+            .collect()
     }
 
     /// Instantiates the attacker.
@@ -132,10 +113,11 @@ pub const ATTACKER_NAMES: [&str; 9] = [
 ];
 
 /// Resolves an attacker by its display name at perturbation rate `rate`,
-/// with the same per-attacker tuning as [`AttackerKind::paper_rows`].
-/// `PEEGA-T` resolves with an empty victim set and the Nettack per-victim
-/// degree budget — callers wanting specific victims construct
-/// [`AttackerKind::TargetedPeega`] directly.
+/// with the per-attacker tuning for laptop-scale graphs that
+/// [`AttackerKind::paper_rows`] also uses. `PEEGA-T` resolves with an
+/// empty victim set and the Nettack per-victim degree budget — callers
+/// wanting specific victims construct [`AttackerKind::TargetedPeega`]
+/// directly.
 ///
 /// Unknown names are [`InvalidConfig`](BbgnnError::InvalidConfig) naming
 /// the `attack` field — a malformed job spec must never panic the server.
@@ -217,28 +199,15 @@ pub enum DefenderKind {
 }
 
 impl DefenderKind {
-    /// The paper's column order for a dataset; `identity_features` drops
+    /// The paper's column order for a dataset, with
+    /// [`defender_by_name`]'s tuning; `identity_features` drops
     /// GCN-Jaccard and GNAT's feature view (the Polblogs case, Table VI).
     pub fn paper_columns(identity_features: bool) -> Vec<DefenderKind> {
-        let mut cols = vec![DefenderKind::Gcn, DefenderKind::Gat];
-        if !identity_features {
-            cols.push(DefenderKind::GcnJaccard(GcnJaccardConfig::default()));
-        }
-        cols.push(DefenderKind::GcnSvd(GcnSvdConfig::default()));
-        cols.push(DefenderKind::Rgcn(RgcnConfig::default()));
-        cols.push(DefenderKind::ProGnn(ProGnnConfig::default()));
-        cols.push(DefenderKind::SimPGcn(SimPGcnConfig::default()));
-        cols.push(DefenderKind::Gnat(if identity_features {
-            // Dense identity-feature graphs (Polblogs): 2-hop reachability
-            // saturates, so the topology view uses 1 hop.
-            GnatConfig {
-                k_t: 1,
-                ..GnatConfig::without_feature_view()
-            }
-        } else {
-            GnatConfig::default()
-        }));
-        cols
+        DEFENDER_NAMES
+            .iter()
+            .filter(|&&name| !(identity_features && name == "GCN-Jaccard"))
+            .filter_map(|name| defender_by_name(name, identity_features).ok())
+            .collect()
     }
 
     /// Instantiates the defender with the given training configuration
@@ -288,10 +257,12 @@ pub const DEFENDER_NAMES: [&str; 8] = [
     "GNAT",
 ];
 
-/// Resolves a model column by its display name. `identity_features`
-/// applies the Polblogs convention to GNAT (1-hop topology view, no
-/// feature view) exactly like [`DefenderKind::paper_columns`]; the other
-/// columns are their defaults regardless.
+/// Resolves a model column by its display name — the one tuning table
+/// [`DefenderKind::paper_columns`] is built from. `identity_features`
+/// applies the Polblogs convention to GNAT (no feature view, and a 1-hop
+/// topology view because 2-hop reachability saturates on dense
+/// identity-feature graphs); the other columns are their defaults
+/// regardless.
 ///
 /// Unknown names are [`InvalidConfig`](BbgnnError::InvalidConfig) naming
 /// the `defense` field — a malformed job spec must never panic the server.
@@ -395,22 +366,6 @@ mod tests {
             }
             let built = kind.build(TrainConfig::fast_test());
             assert_eq!(built.name(), kind.name());
-        }
-    }
-
-    #[test]
-    fn by_name_resolution_matches_paper_tuning() {
-        // The by-name path must produce the same configs as paper_rows so
-        // a served job reproduces the CLI tables bit for bit.
-        for row in AttackerKind::paper_rows(0.1) {
-            let by_name = attacker_by_name(row.name(), 0.1).unwrap();
-            assert_eq!(format!("{row:?}"), format!("{by_name:?}"));
-        }
-        for identity in [false, true] {
-            let cols = DefenderKind::paper_columns(identity);
-            let gnat = cols.last().unwrap();
-            let by_name = defender_by_name("GNAT", identity).unwrap();
-            assert_eq!(format!("{gnat:?}"), format!("{by_name:?}"));
         }
     }
 

@@ -15,7 +15,7 @@
 //! on `POST /shutdown` or SIGINT/SIGTERM and exits once in-flight jobs
 //! have wound down.
 
-use bbgnn_bench::cli::{extract_flag, parse_value, InfraFlags};
+use bbgnn_bench::cli::{extract_flag, parse_value, process_env, InfraFlags};
 use bbgnn_serve::Server;
 
 fn main() {
@@ -62,7 +62,7 @@ fn main() {
     };
     // The shared infra flags (threads/trace/store/supervision/signals) —
     // same parser, same init order as every bench binary.
-    let mut infra = match InfraFlags::from_env(|name| std::env::var(name).ok()) {
+    let mut infra = match InfraFlags::from_env(process_env) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");

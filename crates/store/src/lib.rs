@@ -269,20 +269,6 @@ pub fn init_to_path(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Installs the global store from `BBGNN_STORE` if set; returns whether
-/// a store is now active. An unusable path warns and leaves the store
-/// off — caching must never fail a run.
-pub fn init_from_env() -> bool {
-    if let Ok(path) = std::env::var("BBGNN_STORE") {
-        if !path.is_empty() {
-            if let Err(e) = init_to_path(&path) {
-                eprintln!("bbgnn-store: BBGNN_STORE ignored: {e}");
-            }
-        }
-    }
-    enabled()
-}
-
 /// The installed global store, if any.
 pub fn global() -> Option<Arc<Store>> {
     if !enabled() {

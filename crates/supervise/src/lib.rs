@@ -187,35 +187,6 @@ pub fn install_budget(budget: &RunBudget) {
     ROOT.install_budget(budget);
 }
 
-/// Installs budget and fault plan from `BBGNN_DEADLINE`, `BBGNN_BUDGET`
-/// and `BBGNN_FAULTS`. Returns whether supervision is now active; a
-/// malformed variable is an error (a silently ignored budget would
-/// un-bound a run the user meant to bound).
-pub fn init_from_env() -> Result<bool, String> {
-    let mut budget = RunBudget::default();
-    if let Ok(spec) = std::env::var("BBGNN_DEADLINE") {
-        if !spec.is_empty() {
-            budget.deadline =
-                Some(parse_duration(&spec).map_err(|e| format!("BBGNN_DEADLINE: {e}"))?);
-        }
-    }
-    if let Ok(spec) = std::env::var("BBGNN_BUDGET") {
-        if !spec.is_empty() {
-            let parsed = RunBudget::parse_spec(&spec).map_err(|e| format!("BBGNN_BUDGET: {e}"))?;
-            budget.epochs = parsed.epochs.or(budget.epochs);
-            budget.queries = parsed.queries.or(budget.queries);
-            budget.mem_bytes = parsed.mem_bytes.or(budget.mem_bytes);
-        }
-    }
-    install_budget(&budget);
-    if let Ok(spec) = std::env::var("BBGNN_FAULTS") {
-        if !spec.is_empty() {
-            fault::install(&spec).map_err(|e| format!("BBGNN_FAULTS: {e}"))?;
-        }
-    }
-    Ok(enabled())
-}
-
 // ---------------------------------------------------------------------------
 // Accounting
 // ---------------------------------------------------------------------------

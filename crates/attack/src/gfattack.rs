@@ -60,13 +60,6 @@ pub struct GfAttackConfig {
     pub attacker_nodes: AttackerNodes,
     /// Seed for the Lanczos start vector and candidate sampling.
     pub seed: u64,
-    /// With [`GfScoring::ExactRecompute`], build each candidate's
-    /// normalized adjacency by patching the clean one in O(deg) per row
-    /// (DESIGN.md §13) instead of clone + flip + renormalize from scratch.
-    /// The patched matrix is bitwise identical, so the Lanczos rescore —
-    /// and the flip sequence — never changes. Also honoured when the
-    /// process-global `--incremental` / `BBGNN_INCR` switch is on.
-    pub incremental: bool,
 }
 
 impl Default for GfAttackConfig {
@@ -79,7 +72,6 @@ impl Default for GfAttackConfig {
             candidate_pool_factor: 10,
             attacker_nodes: AttackerNodes::All,
             seed: 0,
-            incremental: false,
         }
     }
 }
@@ -247,16 +239,17 @@ impl GfAttack {
         bbgnn_supervise::note_queries(candidates.len() as u64);
         // Each candidate re-derives the spectrum of its flipped normalized
         // adjacency — the per-candidate cost the paper's Table VII
-        // reflects. The incremental path builds that matrix by patching
-        // the clean graph's neighbor structure in O(deg) per affected row
-        // (bitwise identical bytes, so the same spectrum and the same flip
-        // sequence); the dense path rebuilds it from a full graph clone.
+        // reflects. With the process-wide `--incremental` switch
+        // (DESIGN.md §13), that matrix is built by patching the clean
+        // graph's neighbor structure in O(deg) per affected row (bitwise
+        // identical bytes, so the same spectrum and the same flip
+        // sequence); otherwise it is rebuilt from a full graph clone.
         // The rescoring is embarrassingly parallel, so it fans out over the
         // pool (coarse chunking: one Lanczos run per item dwarfs the spawn
         // cost); per-band vectors concatenate in ascending band order, so
         // the scored list — and the stable sort below — is identical for
         // every worker count.
-        let norm = crate::incremental::active(self.config.incremental).then(|| {
+        let norm = bbgnn_linalg::incr::enabled().then(|| {
             bbgnn_linalg::incr::IncrNorm::from_neighbor_lists(
                 (0..g.num_nodes())
                     .map(|u| g.neighbors(u).collect())
@@ -513,18 +506,13 @@ mod tests {
     #[test]
     fn incremental_exact_matches_dense_path_bitwise() {
         let g = DatasetSpec::CoraLike.generate(0.03, 97);
-        let base = GfAttackConfig {
+        let cfg = GfAttackConfig {
             rate: 0.1,
             top_eigens: 8,
             candidate_pool_factor: 5,
             ..Default::default()
         };
-        let run = |cfg: GfAttackConfig| GfAttack::new(cfg).attack(&g);
-        let dense = run(base.clone());
-        let incr = run(GfAttackConfig {
-            incremental: true,
-            ..base
-        });
+        let (dense, incr) = crate::dense_and_incremental(|| GfAttack::new(cfg.clone()).attack(&g));
         assert_eq!(dense.edge_flips, incr.edge_flips);
         assert_eq!(
             dense.poisoned.content_hash(),

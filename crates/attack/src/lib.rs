@@ -17,12 +17,18 @@
 //! `δ = rate · ‖A‖₀` where `‖A‖₀` is the number of undirected edges, with
 //! each edge flip costing 1 and each feature flip costing `β` (Sec. V-D1;
 //! `β = 1` by default).
+//!
+//! The process-wide `--incremental` switch (`bbgnn_linalg::incr::enabled`,
+//! DESIGN.md §13) is the only way an attacker takes the incremental
+//! path. Two read it, once per attack: Metattack retrains its surrogate on
+//! the engine's maintained `Â_n^L X`, and GF-Attack's exact backend builds
+//! each candidate's normalized adjacency with `IncrNorm`. Either way the
+//! committed flips are byte-identical to the dense path's.
 
 #![deny(missing_docs)]
 
 pub mod dice;
 pub mod gfattack;
-pub mod incremental;
 pub mod metattack;
 pub mod minmax;
 pub mod peega;
@@ -125,6 +131,24 @@ pub trait Attacker {
     /// Attacks `g`, returning the poisoned graph. Implementations must
     /// never mutate `g` and must respect their configured budget.
     fn attack(&mut self, g: &Graph) -> AttackResult;
+}
+
+/// Runs `run` with the process-wide incremental switch off, then on, and
+/// returns both results. The switch is process-global and cargo runs a
+/// crate's tests in parallel, so every test that flips it goes through
+/// this one lock; the switch is off again on return.
+#[cfg(test)]
+pub(crate) fn dense_and_incremental<T>(mut run: impl FnMut() -> T) -> (T, T) {
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = SWITCH
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    bbgnn_linalg::incr::set_enabled(false);
+    let dense = run();
+    bbgnn_linalg::incr::set_enabled(true);
+    let incr = run();
+    bbgnn_linalg::incr::set_enabled(false);
+    (dense, incr)
 }
 
 /// Budget in undirected-edge units for a perturbation `rate`:

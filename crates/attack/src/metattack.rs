@@ -19,8 +19,8 @@ use crate::{budget_for, AttackResult, Attacker, AttackerNodes};
 use bbgnn_autodiff::Tape;
 use bbgnn_gnn::linear_gcn::LinearGcn;
 use bbgnn_gnn::train::TrainConfig;
-use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
+use bbgnn_linalg::incr::{IncrConfig, IncrProp};
 use bbgnn_linalg::{DenseMatrix, ExecContext};
 use std::rc::Rc;
 use std::time::Instant;
@@ -39,11 +39,6 @@ pub struct MetattackConfig {
     pub train: TrainConfig,
     /// Accessible nodes.
     pub attacker_nodes: AttackerNodes,
-    /// Maintain the surrogate propagation incrementally across flips
-    /// (DESIGN.md §13) instead of recomputing it inside every retrain.
-    /// Byte-identical flip sequences either way; also honoured when the
-    /// process-global `--incremental` / `BBGNN_INCR` switch is on.
-    pub incremental: bool,
 }
 
 impl Default for MetattackConfig {
@@ -59,7 +54,6 @@ impl Default for MetattackConfig {
                 ..Default::default()
             },
             attacker_nodes: AttackerNodes::All,
-            incremental: false,
         }
     }
 }
@@ -76,6 +70,17 @@ impl Metattack {
     pub fn new(config: MetattackConfig) -> Self {
         Self { config }
     }
+}
+
+/// The incremental engine over `g` with propagation depth `hops`
+/// ([`IncrConfig::new`]'s defaults): its maintained `H` is bitwise equal
+/// to `g.propagate(hops)`, before and after every
+/// [`IncrProp::flip_edge`] (DESIGN.md §13).
+fn engine_for(g: &Graph, hops: usize) -> IncrProp {
+    let nbrs = (0..g.num_nodes())
+        .map(|u| g.neighbors(u).collect())
+        .collect();
+    IncrProp::from_neighbor_lists(nbrs, g.features.clone(), &IncrConfig::new(hops))
 }
 
 impl Attacker for Metattack {
@@ -102,11 +107,12 @@ impl Attacker for Metattack {
         // Shared kernels + workspace for every outer step's gradient tape;
         // the candidate scan fans out over the same pool.
         let ctx = ExecContext::shared_from_env();
-        // Incrementally maintained H = Â_n^L X over the poisoned graph;
-        // bitwise-equal to `poisoned.propagate(hops)` at every step, so the
-        // retrains below see the exact bytes the dense path would.
-        let mut engine = crate::incremental::active(cfg.incremental)
-            .then(|| crate::incremental::engine_for(g, cfg.hops));
+        // With the process-wide `--incremental` switch, H = Â_n^L X over
+        // the poisoned graph is maintained across flips instead of
+        // recomputed per retrain; it is bitwise equal to
+        // `poisoned.propagate(hops)` at every step, so the retrains below
+        // see the exact bytes the dense path computes.
+        let mut engine = bbgnn_linalg::incr::enabled().then(|| engine_for(g, cfg.hops));
 
         let mut truncated = false;
         for step in 0..budget {
@@ -120,13 +126,18 @@ impl Attacker for Metattack {
             if step % cfg.retrain_every == 0 || surrogate_w.is_none() {
                 bbgnn_obs::counter("attack/surrogate_retrains", 1);
                 let mut lin = LinearGcn::new(cfg.hops, cfg.train.clone());
-                let preds = if let Some(eng) = engine.as_ref() {
-                    lin.fit_with_propagation(&poisoned, eng.propagated());
-                    lin.predict_from_propagation(eng.propagated())
-                } else {
-                    lin.fit(&poisoned);
-                    lin.predict(&poisoned)
+                // One H feeds both the fit and the predictions — the bits
+                // `fit` and `predict` would each propagate on their own.
+                let dense_h;
+                let h = match engine.as_ref() {
+                    Some(eng) => eng.propagated(),
+                    None => {
+                        dense_h = poisoned.propagate(cfg.hops);
+                        &dense_h
+                    }
                 };
+                lin.fit_with_propagation(&poisoned, h);
+                let preds = lin.predict_from_propagation(h);
                 self_labels = g.labels.clone();
                 let in_train: std::collections::HashSet<usize> =
                     g.split.train.iter().copied().collect();
@@ -135,7 +146,7 @@ impl Attacker for Metattack {
                         self_labels[v] = preds[v];
                     }
                 }
-                // lint: allow(panic) reason=fit() on the line above always installs the weight
+                // lint: allow(panic) reason=fit_with_propagation() above always installs the weight
                 surrogate_w = Some(lin.weight().expect("trained surrogate").clone());
             }
             // lint: allow(panic) reason=the retrain branch above guarantees surrogate_w is Some on every step
@@ -172,7 +183,7 @@ impl Attacker for Metattack {
             let Some((score, u, v)) = best else { break };
             poisoned.flip_edge(u, v);
             if let Some(eng) = engine.as_mut() {
-                crate::incremental::commit_edge_flip(eng, u, v);
+                eng.flip_edge(u, v);
             }
             let new_val = 1.0 - a_hat.get(u, v);
             a_hat.set(u, v, new_val);
@@ -202,6 +213,7 @@ impl Attacker for Metattack {
 mod tests {
     use super::*;
     use bbgnn_gnn::gcn::Gcn;
+    use bbgnn_gnn::NodeClassifier;
     use bbgnn_graph::datasets::DatasetSpec;
     use bbgnn_graph::metrics::edge_diff_breakdown;
 
@@ -242,23 +254,45 @@ mod tests {
     #[test]
     fn incremental_matches_dense_path_bitwise() {
         let g = DatasetSpec::CoraLike.generate(0.04, 64);
-        let base = MetattackConfig {
+        let cfg = MetattackConfig {
             rate: 0.1,
             retrain_every: 3,
             ..Default::default()
         };
-        let dense = Metattack::new(base.clone()).attack(&g);
-        let incr = Metattack::new(MetattackConfig {
-            incremental: true,
-            ..base
-        })
-        .attack(&g);
+        let (dense, incr) = crate::dense_and_incremental(|| Metattack::new(cfg.clone()).attack(&g));
         assert_eq!(dense.edge_flips, incr.edge_flips);
         assert_eq!(
             dense.poisoned.content_hash(),
             incr.poisoned.content_hash(),
             "incremental Metattack must commit the exact dense flip sequence"
         );
+    }
+
+    #[test]
+    fn engine_matches_graph_propagate_bitwise() {
+        let g = DatasetSpec::CoraLike.generate(0.03, 71);
+        let engine = engine_for(&g, 2);
+        let dense = g.propagate(2);
+        assert_eq!(engine.propagated().shape(), dense.shape());
+        for (a, b) in engine.propagated().as_slice().iter().zip(dense.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "engine H diverges from propagate");
+        }
+    }
+
+    #[test]
+    fn committed_flips_track_graph_mutations_bitwise() {
+        let g = DatasetSpec::CoraLike.generate(0.03, 72);
+        let mut engine = engine_for(&g, 2);
+        let mut poisoned = g.clone();
+        // Each flip is committed to the graph and to the engine.
+        for (u, v) in [(0usize, 5usize), (1, 2)] {
+            poisoned.flip_edge(u, v);
+            engine.flip_edge(u, v);
+        }
+        let dense = poisoned.propagate(2);
+        for (x, y) in engine.propagated().as_slice().iter().zip(dense.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "engine H diverges after commits");
+        }
     }
 
     #[test]

@@ -78,13 +78,6 @@ pub struct PeegaConfig {
     /// scans (`0` = defer to `BBGNN_THREADS` / available parallelism). The
     /// result is bitwise-identical for every value.
     pub threads: usize,
-    /// Maintain the surrogate propagation `A_n^l X` incrementally across
-    /// committed flips (DESIGN.md §13): the clean propagation is served
-    /// from the engine and the poisoned-graph state stays checkpointable
-    /// in the artifact store at resync boundaries. Byte-identical flip
-    /// sequences either way; also honoured when the process-global
-    /// `--incremental` / `BBGNN_INCR` switch is on.
-    pub incremental: bool,
 }
 
 impl Default for PeegaConfig {
@@ -99,7 +92,6 @@ impl Default for PeegaConfig {
             attacker_nodes: AttackerNodes::All,
             objective_nodes: ObjectiveNodes::Train,
             threads: 0,
-            incremental: false,
         }
     }
 }
@@ -228,16 +220,10 @@ impl Attacker for Peega {
             budget = budget,
             hops = cfg.hops
         );
-        // Incrementally maintained propagation over the poisoned graph:
-        // serves the clean H = A_n^l X below (bitwise-equal to
-        // `propagate`) and keeps a store-checkpointable state as flips
-        // commit (DESIGN.md §13).
-        let mut engine = crate::incremental::active(cfg.incremental)
-            .then(|| crate::incremental::engine_for(g, cfg.hops));
-        let clean_prop = Rc::new(match &engine {
-            Some(eng) => eng.propagated().clone(),
-            None => propagate_cached(g, cfg.hops),
-        });
+        // The clean H = A_n^l X, computed once. The objective differentiates
+        // through the dense Â on the tape, so PEEGA has nothing for the
+        // incremental engine (DESIGN.md §13) to maintain.
+        let clean_prop = Rc::new(propagate_cached(g, cfg.hops));
         let eye = Rc::new(DenseMatrix::identity(n));
         // Objective-node restriction (Sec. V-A3).
         let obj_nodes = self.objective_node_set(g);
@@ -365,9 +351,6 @@ impl Attacker for Peega {
                     let new_val = if existed_now { 0.0 } else { 1.0 };
                     a_hat.set(u, v, new_val);
                     a_hat.set(v, u, new_val);
-                    if let Some(eng) = engine.as_mut() {
-                        crate::incremental::commit_edge_flip(eng, u, v);
-                    }
                     spent += 1.0;
                     bbgnn_obs::counter("attack/edge_flips", 1);
                     bbgnn_obs::event!(
@@ -385,9 +368,6 @@ impl Attacker for Peega {
                     touched_features.insert((v, i));
                     let new_val = poisoned.flip_feature(v, i);
                     x_hat.set(v, i, new_val);
-                    if let Some(eng) = engine.as_mut() {
-                        crate::incremental::commit_feature_flip(eng, v, i, new_val);
-                    }
                     spent += cfg.beta;
                     bbgnn_obs::counter("attack/feature_flips", 1);
                     bbgnn_obs::event!(
@@ -472,28 +452,6 @@ mod tests {
                 r.edge_flips, r.feature_flips
             );
         }
-    }
-
-    #[test]
-    fn incremental_matches_dense_path_bitwise() {
-        let g = small_graph();
-        let base = PeegaConfig {
-            rate: 0.08,
-            ..Default::default()
-        };
-        let dense = Peega::new(base.clone()).attack(&g);
-        let incr = Peega::new(PeegaConfig {
-            incremental: true,
-            ..base
-        })
-        .attack(&g);
-        assert_eq!(dense.edge_flips, incr.edge_flips);
-        assert_eq!(dense.feature_flips, incr.feature_flips);
-        assert_eq!(
-            dense.poisoned.content_hash(),
-            incr.poisoned.content_hash(),
-            "incremental PEEGA must commit the exact dense flip sequence"
-        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! The operation set is exactly what the paper reproduction needs:
 //!
-//! * GCN / linear-GCN forward passes (`matmul`, `spmm`, `relu`, bias,
-//!   dropout, softmax cross-entropy);
+//! * GCN / linear-GCN forward passes (`matmul`, `spmm`, `relu`, dropout,
+//!   softmax cross-entropy);
 //! * GAT attention on the CSR pattern of `A + I`, with edge-valued
 //!   (`nnz × 1`) tensors: `edge_add_outer`, `leaky_relu`,
 //!   `edge_softmax_rows`, `edge_spmm`, and `concat_cols` for the heads;

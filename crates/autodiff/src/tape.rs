@@ -51,8 +51,6 @@ enum Op {
     Ln(TensorId),
     /// `max(x, eps)^p` (clamp only applied for non-integer or negative `p`).
     PowScalar(TensorId, f64),
-    /// Matrix transpose.
-    Transpose(TensorId),
     /// Row sums as an `n × 1` column.
     RowSum(TensorId),
     /// Sum of all entries as a `1 × 1` scalar tensor.
@@ -61,8 +59,6 @@ enum Op {
     ScaleRows(TensorId, TensorId),
     /// `y[i][j] = x[i][j] * s[j]`, `s` an `m × 1` tensor (`m = cols`).
     ScaleCols(TensorId, TensorId),
-    /// Row-wise softmax.
-    SoftmaxRows(TensorId),
     /// Mean softmax cross-entropy of `logits` rows listed in `rows` against
     /// `labels` (full-length label vector).
     CrossEntropy(TensorId, Rc<Vec<usize>>, Rc<Vec<usize>>),
@@ -83,8 +79,6 @@ enum Op {
     /// Scalar `Σ_{(v,u) ∈ E} ‖x[v,:] − C[u,:]‖_p` over the edges of a
     /// constant adjacency.
     NeighborLpNormSum(TensorId, Rc<CsrMatrix>, Rc<DenseMatrix>, f64),
-    /// `y[i][j] = x[i][j] + b[0][j]` with a `1 × c` bias tensor.
-    AddBias(TensorId, TensorId),
 }
 
 struct Node {
@@ -181,8 +175,7 @@ impl Tape {
             | Op::ScaleRows(a, b)
             | Op::ScaleCols(a, b)
             | Op::EdgeAddOuter(a, b, _)
-            | Op::EdgeSpMM(a, _, b)
-            | Op::AddBias(a, b) => self.is_const(*a) && self.is_const(*b),
+            | Op::EdgeSpMM(a, _, b) => self.is_const(*a) && self.is_const(*b),
             Op::SpMM(_, a)
             | Op::ScalarMul(a, _)
             | Op::AddConst(a)
@@ -193,10 +186,8 @@ impl Tape {
             | Op::Exp(a)
             | Op::Ln(a)
             | Op::PowScalar(a, _)
-            | Op::Transpose(a)
             | Op::RowSum(a)
             | Op::SumAll(a)
-            | Op::SoftmaxRows(a)
             | Op::EdgeSoftmaxRows(a, _)
             | Op::CrossEntropy(a, _, _)
             | Op::Dropout(a, _)
@@ -345,12 +336,6 @@ impl Tape {
         self.push(Op::PowScalar(a, p), v)
     }
 
-    /// Transpose.
-    pub fn transpose(&mut self, a: TensorId) -> TensorId {
-        let v = self.nodes[a.0].value.transpose();
-        self.push(Op::Transpose(a), v)
-    }
-
     /// Row sums as an `n × 1` tensor.
     pub fn row_sum(&mut self, a: TensorId) -> TensorId {
         let sums = self.nodes[a.0].value.row_sums();
@@ -376,15 +361,6 @@ impl Tape {
         let scales: Vec<f64> = self.nodes[s.0].value.as_slice().to_vec();
         let v = self.nodes[x.0].value.scale_cols(&scales);
         self.push(Op::ScaleCols(x, s), v)
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: TensorId) -> TensorId {
-        let mut v = self.ctx.alloc_copy(&self.nodes[a.0].value);
-        for i in 0..v.rows() {
-            softmax_slice(v.row_mut(i));
-        }
-        self.push(Op::SoftmaxRows(a), v)
     }
 
     /// Mean softmax cross-entropy over the rows listed in `rows`:
@@ -566,21 +542,6 @@ impl Tape {
         )
     }
 
-    /// Broadcast-add of a `1 × c` bias row to every row of `x`.
-    pub fn add_bias(&mut self, x: TensorId, b: TensorId) -> TensorId {
-        let xv = &self.nodes[x.0].value;
-        let bv = &self.nodes[b.0].value;
-        assert_eq!(bv.rows(), 1, "add_bias: bias must be 1 × c");
-        assert_eq!(bv.cols(), xv.cols(), "add_bias: width mismatch");
-        let mut v = self.ctx.alloc_copy(xv);
-        for i in 0..v.rows() {
-            for (o, &bb) in v.row_mut(i).iter_mut().zip(bv.row(0)) {
-                *o += bb;
-            }
-        }
-        self.push(Op::AddBias(x, b), v)
-    }
-
     // ----- backward -------------------------------------------------------------
 
     /// Runs the backward pass from the scalar tensor `output` (must be
@@ -723,7 +684,6 @@ impl Tape {
                         }),
                     )
                 }
-                Op::Transpose(a) => Delta::One(*a, g.transpose()),
                 Op::RowSum(a) => {
                     let (r, c) = self.nodes[a.0].value.shape();
                     let mut d = ctx.alloc_zeroed(r, c);
@@ -787,19 +747,6 @@ impl Tape {
                         ds
                     });
                     Delta::Two(*x, dx, *s, ds)
-                }
-                Op::SoftmaxRows(a) => {
-                    let y = &node.value;
-                    let mut d = ctx.alloc_zeroed(y.rows(), y.cols());
-                    for i in 0..y.rows() {
-                        let yr = y.row(i);
-                        let gr = g.row(i);
-                        let dot: f64 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-                        for (j, dv) in d.row_mut(i).iter_mut().enumerate() {
-                            *dv = yr[j] * (gr[j] - dot);
-                        }
-                    }
-                    Delta::One(*a, d)
                 }
                 Op::EdgeSoftmaxRows(a, pattern) => {
                     let (y, gs) = (node.value.as_slice(), g.as_slice());
@@ -942,15 +889,6 @@ impl Tape {
                     }
                     Delta::One(*x, d)
                 }
-                Op::AddBias(x, b) => Delta::Two(
-                    *x,
-                    live(x).then(|| ctx.alloc_copy(g)),
-                    *b,
-                    live(b).then(|| {
-                        let cs = g.col_sums();
-                        DenseMatrix::from_vec(1, cs.len(), cs)
-                    }),
-                ),
             }
         };
         match delta {
@@ -969,31 +907,6 @@ impl Tape {
                     self.accumulate(id, d);
                 }
             }
-        }
-    }
-}
-
-/// In-place softmax of a slice (numerically stabilized).
-///
-/// A row of all `-∞` (no admissible entry) produces an **all-zero row**,
-/// uniform with [`edge_softmax_slice`]'s empty-row convention — not NaN,
-/// which `exp(-∞ − -∞)` would otherwise yield. The zero row also backprops
-/// a zero (not NaN) gradient, since the softmax Jacobian vanishes with the
-/// outputs.
-fn softmax_slice(row: &mut [f64]) {
-    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if max == f64::NEG_INFINITY {
-        row.iter_mut().for_each(|v| *v = 0.0);
-        return;
-    }
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in row.iter_mut() {
-            *v /= sum;
         }
     }
 }
@@ -1117,16 +1030,6 @@ mod tests {
         assert!((t.value(loss).get(0, 0) - 4.0_f64.ln()).abs() < 1e-12);
     }
 
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let mut t = Tape::new();
-        let x = t.var(DenseMatrix::uniform(4, 5, 3.0, 8));
-        let y = t.softmax_rows(x);
-        for s in t.value(y).row_sums() {
-            assert!((s - 1.0).abs() < 1e-12);
-        }
-    }
-
     /// The pattern is the mask: `edge_softmax_rows` normalizes over a
     /// row's stored entries only, so the off-pattern 100 never competes.
     #[test]
@@ -1139,29 +1042,6 @@ mod tests {
         assert_eq!(t.value(e).as_slice(), &[1.0, 1.0], "only stored entries");
         let y = t.edge_softmax_rows(e, pattern);
         assert_eq!(t.value(y).as_slice(), &[0.5, 0.5]);
-    }
-
-    /// A row of all `-∞` logits (every entry inadmissible) must yield an
-    /// all-zero softmax row — uniform with the masked variant — and a
-    /// zero (not NaN) gradient through backward.
-    #[test]
-    fn softmax_all_neg_inf_row_is_zero_with_zero_gradient() {
-        let inf = f64::NEG_INFINITY;
-        let mut t = Tape::new();
-        let x = t.var(DenseMatrix::from_rows(&[
-            &[inf, inf, inf],
-            &[0.0, 0.0, inf],
-        ]));
-        let y = t.softmax_rows(x);
-        assert_eq!(t.value(y).row(0), &[0.0, 0.0, 0.0], "degenerate row");
-        assert!((t.value(y).get(1, 0) - 0.5).abs() < 1e-12, "healthy row");
-        assert_eq!(t.value(y).get(1, 2), 0.0, "-inf entry in a finite row");
-        let s = t.sum_all(y);
-        t.backward(s);
-        let g = t.grad(x).unwrap();
-        for j in 0..3 {
-            assert_eq!(g.get(0, j), 0.0, "zero row ⇒ zero gradient, not NaN");
-        }
     }
 
     /// Rows of the edge softmax with nothing admissible — an empty pattern

@@ -52,7 +52,6 @@ fn mixed_graph(t: &mut Tape, consts_as_vars: bool) -> (TensorId, Vec<TensorId>) 
     let w0 = t.var(DenseMatrix::uniform(5, 4, 1.0, 6));
     let s_cols = t.var(DenseMatrix::uniform(4, 1, 1.0, 7));
     let w_cat = t.var(DenseMatrix::uniform(8, 3, 1.0, 8));
-    let bias = t.var(DenseMatrix::uniform(1, 3, 1.0, 9));
     let d = t.var(DenseMatrix::uniform(3, 1, 1.0, 10));
     let adj = Rc::new(CsrMatrix::from_triplets(
         6,
@@ -78,7 +77,6 @@ fn mixed_graph(t: &mut Tape, consts_as_vars: bool) -> (TensorId, Vec<TensorId>) 
     let h = t.leaky_relu(h, 0.2);
     let cat = t.concat_cols(&[h, shift]);
     let logits = t.matmul(cat, w_cat);
-    let logits = t.add_bias(logits, bias);
     let att = t.edge_add_outer(col, d, Rc::clone(&att_pattern)); // constant × variable
     let att = t.edge_softmax_rows(att, Rc::clone(&att_pattern));
     let att = t.edge_spmm(att, &att_pattern, proj); // variable × constant
@@ -89,7 +87,7 @@ fn mixed_graph(t: &mut Tape, consts_as_vars: bool) -> (TensorId, Vec<TensorId>) 
         Rc::new(vec![0, 1, 2, 0, 1, 2]),
         Rc::new(vec![0, 2, 3, 5]),
     );
-    (loss, vec![w0, s_cols, w_cat, bias, d])
+    (loss, vec![w0, s_cols, w_cat, d])
 }
 
 fn bits(m: &DenseMatrix) -> Vec<u64> {
@@ -109,7 +107,7 @@ fn variable_gradients_are_bitwise_those_of_the_all_var_graph() {
     };
     let pruned = grads(false);
     let full = grads(true);
-    assert_eq!(pruned.len(), 5);
+    assert_eq!(pruned.len(), 4);
     for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
         assert_eq!(p, f, "variable {i}: pruning changed the gradient bits");
     }

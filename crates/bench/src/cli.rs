@@ -108,12 +108,15 @@ pub struct InfraFlags {
     /// `BBGNN_FAULTS`), validated against the §11 site catalog at parse
     /// time. The flag replaces the environment's plan.
     pub faults: Option<String>,
-    /// Incremental rescoring for the greedy attackers (`--incremental` /
-    /// `BBGNN_INCR=1`): maintain the surrogate propagation across flips
-    /// (DESIGN.md §13) instead of recomputing from scratch. Like every
-    /// infra flag, the committed flip sequences — and therefore every
-    /// table/figure byte — are identical either way (enforced by the CI
-    /// incremental-parity step); only Table VII wall-clock changes.
+    /// Incremental rescoring (`--incremental` / `BBGNN_INCR=1`), the one
+    /// switch an attacker reads to take the incremental path (DESIGN.md
+    /// §13): Metattack maintains its surrogate propagation across flips
+    /// instead of recomputing it per retrain, and GF-Attack's exact
+    /// backend patches each candidate's normalized adjacency instead of
+    /// rebuilding it. PEEGA ignores it. Like every infra flag, the
+    /// committed flip sequences — and therefore every table/figure byte —
+    /// are identical either way (enforced by the CI incremental-parity
+    /// step); only Table VII wall-clock changes.
     pub incremental: bool,
 }
 

@@ -1,13 +1,19 @@
 //! Incremental recomputation engine for greedy attack loops.
 //!
-//! Every greedy attacker in the paper's matrix (PEEGA Alg. 1, Metattack,
-//! GF-Attack) loops `flip one edge → rescore`, and the dominant rescore
-//! cost is the surrogate propagation `H = Â_n^L X` — O(L·nnz·d) when
-//! recomputed from scratch. But one undirected flip `{u, v}` changes Â_n
-//! in exactly one row/col pair plus the entries renormalized by the new
-//! `deg(u)`, `deg(v)`: only rows in the L-hop neighborhood of `u, v` can
-//! change in `H`. [`IncrProp`] maintains `H` across committed flips by
-//! recomputing exactly those rows — O(L·deg·d) per flip.
+//! A greedy attacker loops `flip one edge → rescore`. Metattack's rescore
+//! retrains its surrogate on the propagation `H = Â_n^L X` — O(L·nnz·d)
+//! when recomputed from scratch. But one undirected flip `{u, v}` changes
+//! Â_n in exactly one row/col pair plus the entries renormalized by the
+//! new `deg(u)`, `deg(v)`: only rows in the L-hop neighborhood of `u, v`
+//! can change in `H`. [`IncrProp`] maintains `H` across committed flips
+//! by recomputing exactly those rows — O(L·deg·d) per flip.
+//!
+//! The process-wide switch ([`enabled`], set from `--incremental` /
+//! `BBGNN_INCR`) is the only thing that selects this path. Its two
+//! consumers are Metattack ([`IncrProp`]) and GF-Attack's exact backend
+//! ([`IncrNorm`]). PEEGA is not one: its objective differentiates through
+//! the dense `Â` on the autodiff tape and reads `H` only once, on the
+//! clean graph.
 //!
 //! **Determinism.** The engine does not apply additive deltas (which would
 //! accumulate float drift); it *recomputes touched rows from scratch* in
@@ -56,8 +62,7 @@ pub fn enabled() -> bool {
 
 /// Default full-recompute resync stride: a full rebuild of `H` every this
 /// many committed flips. The update rule is bitwise-exact, so the stride
-/// is defense-in-depth (and the store checkpoint cadence), not a drift
-/// bound — see DESIGN.md §13.
+/// is defense-in-depth, not a drift bound — see DESIGN.md §13.
 pub const DEFAULT_RESYNC_STRIDE: usize = 64;
 
 /// Tuning knobs for [`IncrProp`].
@@ -274,30 +279,17 @@ impl IncrNorm {
         // lint: allow(panic) reason=construction invariants guarantee sorted in-bounds columns; a failure here is a bug, not an input error
         csr.expect("IncrNorm built an invalid CSR")
     }
-
-    /// FNV-1a fingerprint of the adjacency structure (sorted lists), used
-    /// by the artifact-store keys that anti-alias incremental state.
-    pub fn structure_hash(&self) -> u64 {
-        let mut h = crate::content_hash::Fnv1a::new();
-        h.bytes(b"incr-adj");
-        h.usize(self.nbrs.len());
-        for list in &self.nbrs {
-            h.usize(list.len());
-            h.usizes(list);
-        }
-        h.finish()
-    }
 }
 
 /// Incrementally maintained surrogate propagation `H = Â_n^L X`.
 ///
 /// Holds every intermediate hop `Â_n^k X` (`k = 1..=L`) plus an
-/// [`IncrNorm`] adjacency mirror. [`flip_edge`](Self::flip_edge) and
-/// [`set_feature`](Self::set_feature) commit one perturbation and repair
-/// `H` by recomputing only the rows the flip can reach — the k-hop
-/// frontier of `{u, v}` at hop `k` — in the exact accumulation order of
-/// the full SpMM, so the maintained state is bitwise identical to a
-/// from-scratch recompute after every commit (see the module docs).
+/// [`IncrNorm`] adjacency mirror. [`flip_edge`](Self::flip_edge) commits
+/// one edge flip and repairs `H` by recomputing only the rows the flip
+/// can reach — the k-hop frontier of `{u, v}` at hop `k` — in the exact
+/// accumulation order of the full SpMM, so the maintained state is
+/// bitwise identical to a from-scratch recompute after every commit (see
+/// the module docs).
 #[derive(Clone, Debug)]
 pub struct IncrProp {
     norm: IncrNorm,
@@ -330,48 +322,6 @@ impl IncrProp {
     /// `Graph` hands over) and node features `x`.
     pub fn from_neighbor_lists(nbrs: Vec<Vec<usize>>, x: DenseMatrix, cfg: &IncrConfig) -> Self {
         Self::build(IncrNorm::from_neighbor_lists(nbrs), x, cfg)
-    }
-
-    /// [`from_neighbor_lists`](Self::from_neighbor_lists) with
-    /// store-restored hop matrices instead of the initial full
-    /// propagation. The caller's key must anti-alias the state (graph
-    /// content hash + hops); shapes are validated, contents trusted
-    /// bitwise.
-    pub fn from_neighbor_lists_restored(
-        nbrs: Vec<Vec<usize>>,
-        x: DenseMatrix,
-        cfg: &IncrConfig,
-        h: Vec<DenseMatrix>,
-    ) -> Result<Self, String> {
-        let norm = IncrNorm::from_neighbor_lists(nbrs);
-        if norm.num_nodes() != x.rows() {
-            return Err("feature/adjacency row mismatch".to_string());
-        }
-        if h.len() != cfg.hops {
-            return Err(format!(
-                "expected {} hop matrices, got {}",
-                cfg.hops,
-                h.len()
-            ));
-        }
-        for (k, m) in h.iter().enumerate() {
-            if m.shape() != (x.rows(), x.cols()) {
-                return Err(format!("hop {k} has shape {:?}", m.shape()));
-            }
-        }
-        Ok(Self {
-            norm,
-            x,
-            h,
-            hops: cfg.hops,
-            resync_stride: cfg.resync_stride,
-            shadow: cfg.shadow,
-            threads: cfg.threads,
-            step: 0,
-            since_resync: 0,
-            last_rows_touched: 0,
-            resynced: false,
-        })
     }
 
     fn build(norm: IncrNorm, x: DenseMatrix, cfg: &IncrConfig) -> Self {
@@ -423,17 +373,7 @@ impl IncrProp {
         self.h.last().unwrap_or(&self.x)
     }
 
-    /// The intermediate hop `Â_n^{k+1} X` (`k < hops`).
-    pub fn hop(&self, k: usize) -> &DenseMatrix {
-        &self.h[k]
-    }
-
-    /// Propagation depth `L`.
-    pub fn hops(&self) -> usize {
-        self.hops
-    }
-
-    /// Current node features (reflecting committed feature flips).
+    /// The node features `X`.
     pub fn features(&self) -> &DenseMatrix {
         &self.x
     }
@@ -453,49 +393,9 @@ impl IncrProp {
         self.last_rows_touched
     }
 
-    /// Whether the most recent commit ended in a full resync — the
-    /// artifact-store layer checkpoints the state exactly then.
+    /// Whether the most recent commit ended in a full resync.
     pub fn resynced(&self) -> bool {
         self.resynced
-    }
-
-    /// Fingerprint of the current state identity: adjacency structure,
-    /// feature bits, depth, and step index. Store keys derive from this,
-    /// so two different flip histories can never alias.
-    pub fn state_hash(&self) -> u64 {
-        let mut h = crate::content_hash::Fnv1a::new();
-        h.bytes(b"incr-state");
-        h.u64(self.norm.structure_hash());
-        h.u64(self.x.content_hash());
-        h.usize(self.hops);
-        h.usize(self.step);
-        h.finish()
-    }
-
-    /// The maintained hop matrices, for store serialization.
-    pub fn hop_matrices(&self) -> &[DenseMatrix] {
-        &self.h
-    }
-
-    /// Replaces the maintained hop matrices with store-restored ones
-    /// (anti-aliased by [`state_hash`](Self::state_hash) at the key
-    /// layer). Shapes are validated; contents are trusted bitwise.
-    pub fn restore_state(&mut self, h: Vec<DenseMatrix>) -> Result<(), String> {
-        if h.len() != self.hops {
-            return Err(format!(
-                "expected {} hop matrices, got {}",
-                self.hops,
-                h.len()
-            ));
-        }
-        for (k, m) in h.iter().enumerate() {
-            if m.shape() != (self.x.rows(), self.x.cols()) {
-                return Err(format!("hop {k} has shape {:?}", m.shape()));
-            }
-        }
-        self.h = h;
-        self.since_resync = 0;
-        Ok(())
     }
 
     /// Commits one undirected edge flip and repairs `H` incrementally.
@@ -516,23 +416,6 @@ impl IncrProp {
         drop(timer);
         self.finish_commit();
         added
-    }
-
-    /// Commits one feature write `X[v][j] = value` and repairs `H`
-    /// incrementally. Returns the previous value.
-    pub fn set_feature(&mut self, v: usize, j: usize, value: f64) -> f64 {
-        let timer = bbgnn_obs::kernel_timer("incr/update");
-        let old = self.x.get(v, j);
-        self.x.set(v, j, value);
-        // Hop-1 rows reading X[v]: v itself (self-loop) and its neighbors.
-        let mut rows = vec![v];
-        rows.extend_from_slice(self.norm.neighbors(v));
-        rows.sort_unstable();
-        rows.dedup();
-        self.cascade(rows);
-        drop(timer);
-        self.finish_commit();
-        old
     }
 
     /// Recomputes the touched rows hop by hop, expanding the frontier by
@@ -601,8 +484,8 @@ impl IncrProp {
         }
     }
 
-    /// Step/stride bookkeeping shared by both commit kinds, including the
-    /// periodic resync and the optional shadow check.
+    /// Step/stride bookkeeping after a commit, including the periodic
+    /// resync and the optional shadow check.
     fn finish_commit(&mut self) {
         self.step += 1;
         self.since_resync += 1;
@@ -714,8 +597,6 @@ mod tests {
             p.assert_matches_full();
             assert!(p.last_rows_touched() > 0);
         }
-        p.set_feature(4, 1, 1.0);
-        p.assert_matches_full();
     }
 
     #[test]
@@ -757,35 +638,6 @@ mod tests {
         let mut p = IncrProp::from_edges(5, &edges(), x, &cfg);
         p.flip_edge(0, 4); // would panic on divergence
         assert_eq!(p.step(), 1);
-    }
-
-    #[test]
-    fn state_hash_tracks_structure_features_and_step() {
-        let x = DenseMatrix::uniform(5, 2, 1.0, 9);
-        let cfg = IncrConfig::new(1);
-        let mut p = IncrProp::from_edges(5, &edges(), x.clone(), &cfg);
-        let h0 = p.state_hash();
-        p.flip_edge(0, 4);
-        let h1 = p.state_hash();
-        assert_ne!(h0, h1);
-        // Flipping back restores the structure but not the step index —
-        // different history, different key (anti-aliasing).
-        p.flip_edge(0, 4);
-        assert_ne!(p.state_hash(), h0);
-        assert_ne!(p.state_hash(), h1);
-    }
-
-    #[test]
-    fn restore_state_validates_shapes() {
-        let x = DenseMatrix::uniform(5, 2, 1.0, 9);
-        let cfg = IncrConfig::new(2);
-        let mut p = IncrProp::from_edges(5, &edges(), x, &cfg);
-        assert!(p.restore_state(vec![DenseMatrix::zeros(5, 2)]).is_err());
-        assert!(p
-            .restore_state(vec![DenseMatrix::zeros(4, 2), DenseMatrix::zeros(4, 2)])
-            .is_err());
-        let good = p.hop_matrices().to_vec();
-        assert!(p.restore_state(good).is_ok());
     }
 
     #[test]

@@ -280,8 +280,28 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Range-checks the numeric fields (same bounds as the CLI flags).
+    /// Range-checks the numeric fields (same bounds as the CLI flags) and
+    /// checks the eval kind against `attack`: `attack_time` times an
+    /// attacker, so it needs one; `defense_time` times clean-graph
+    /// training (Table VIII), so it takes none.
     pub fn validate(&self) -> BbgnnResult<()> {
+        match (self.eval.kind, &self.attack) {
+            (EvalKind::AttackTime, None) => {
+                return Err(invalid(
+                    "attack",
+                    "attack_time evaluation requires an attacker",
+                ))
+            }
+            (EvalKind::DefenseTime, Some(name)) => {
+                return Err(invalid(
+                    "attack",
+                    format!(
+                        "defense_time evaluation times clean-graph training; drop the attacker {name:?}"
+                    ),
+                ))
+            }
+            _ => {}
+        }
         if !(self.eval.scale > 0.0 && self.eval.scale <= 1.0) {
             return Err(invalid(
                 "eval.scale",
@@ -421,7 +441,7 @@ pub struct CellResult {
     pub value: String,
     /// Outcome classification.
     pub outcome: CellOutcome,
-    /// Attempts consumed (including the successful one).
+    /// Attempts actually run (including the successful one).
     pub attempts: usize,
     /// Terminal cause for `Failed` (and the observed stop for `Skipped`).
     pub detail: Option<String>,
@@ -678,6 +698,7 @@ pub fn run_cell(
         }
     };
     let mut last_cause = String::new();
+    let mut attempts = 0;
     for n in 0..=policy.max_retries {
         // Checked per attempt, not just at entry — a stop arriving
         // mid-cell can surface as a panic from an infallible numeric
@@ -686,6 +707,7 @@ pub fn run_cell(
         if let Some(stop) = bbgnn_supervise::stop_reason("job/run") {
             return skipped(format!("{stop:?}"));
         }
+        attempts = n + 1;
         let seed = RetryPolicy::seed_for_attempt(base_seed, n);
         let _span = bbgnn_obs::span!("job/run", key = key, attempt = n, seed = seed);
         let error = match catch_unwind(AssertUnwindSafe(|| attempt(seed))) {
@@ -716,7 +738,7 @@ pub fn run_cell(
                     key: key.to_string(),
                     value: value.text,
                     outcome,
-                    attempts: n + 1,
+                    attempts,
                     detail: None,
                     artifacts: bbgnn_store::take_recording(),
                 };
@@ -748,7 +770,7 @@ pub fn run_cell(
         key: key.to_string(),
         value: FAILED_CELL.to_string(),
         outcome: CellOutcome::Failed,
-        attempts: policy.max_retries + 1,
+        attempts,
         detail: Some(last_cause),
         artifacts: bbgnn_store::take_recording(),
     }
@@ -841,6 +863,14 @@ pub(crate) mod tests {
             ),
             (r#"{"dataset": "cora", "budget": "steps=3"}"#, "budget"),
             (r#"{"dataset": "cora", "defence": "GNAT"}"#, "defence"),
+            (
+                r#"{"dataset": "cora", "eval": {"kind": "attack_time"}}"#,
+                "attack",
+            ),
+            (
+                r#"{"dataset": "cora", "attack": "PEEGA", "eval": {"kind": "defense_time"}}"#,
+                "attack",
+            ),
         ] {
             match JobSpec::parse(body) {
                 Err(BbgnnError::InvalidConfig { what: got, .. }) => {
@@ -939,8 +969,6 @@ pub(crate) mod tests {
 
     #[test]
     fn attack_time_requires_an_attacker() {
-        let _guard = locked();
-        let ctx = ExecContext::from_env();
         let spec = JobSpec {
             eval: EvalSpec {
                 kind: EvalKind::AttackTime,
@@ -950,8 +978,12 @@ pub(crate) mod tests {
             },
             ..small_spec()
         };
-        let res = Job::new(spec).unwrap().with_sleeper(quiet_sleep).run(&ctx);
-        assert_eq!(res.outcome, CellOutcome::Failed);
-        assert!(res.detail.unwrap_or_default().contains("attack_time"));
+        match Job::new(spec) {
+            Err(BbgnnError::InvalidConfig { what, message }) => {
+                assert_eq!(what, "attack");
+                assert!(message.contains("attack_time"), "{message}");
+            }
+            other => panic!("expected InvalidConfig(attack), got {:?}", other.err()),
+        }
     }
 }

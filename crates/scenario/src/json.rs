@@ -11,6 +11,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts
+/// (serde_json's default). The parser recurses once per level, so the cap
+/// bounds its stack use on hostile input such as a `POST /jobs` body of
+/// `[` bytes; the deepest document the workspace writes, a checkpoint,
+/// nests 4 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Object keys are sorted (BTreeMap) so serialization is
 /// deterministic.
 #[derive(Clone, Debug, PartialEq)]
@@ -200,12 +207,14 @@ impl Json {
     }
 
     /// Parses a JSON document (a single value with optional surrounding
-    /// whitespace). Returns a message describing the first syntax error.
+    /// whitespace). Returns a message describing the first syntax error,
+    /// or the offset where nesting exceeds [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes: Vec<char> = text.chars().collect();
         let mut p = Parser {
             chars: &bytes,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -238,6 +247,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     chars: &'a [char],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -276,8 +287,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some(open @ ('{' | '[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == '{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some('"') => Ok(Json::String(self.string()?)),
             Some('t') => self.literal("true", Json::Bool(true)),
             Some('f') => self.literal("false", Json::Bool(false)),
@@ -454,6 +479,19 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("offset {MAX_DEPTH}")), "{err}");
+        // Objects count toward the same cap as arrays.
+        let objects = r#"{"k":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // A hostile body must fail cleanly, not overflow the stack.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

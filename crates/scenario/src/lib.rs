@@ -88,6 +88,7 @@ mod tests {
             Err(error.clone())
         });
         assert_eq!(calls, 1, "non-retryable errors must not be retried");
+        assert_eq!(r.attempts, 1, "the count is of attempts run");
         assert_eq!(r.outcome, CellOutcome::Failed);
         assert_eq!(r.value, FAILED_CELL);
         assert_eq!(r.detail, Some(error.to_string()));
@@ -112,6 +113,7 @@ mod tests {
             Err(error.clone())
         });
         assert_eq!(calls, 3);
+        assert_eq!(r.attempts, 3);
         assert_eq!(r.outcome, CellOutcome::Failed);
         assert_eq!(r.detail, Some(error.to_string()));
     }

@@ -549,6 +549,22 @@ mod tests {
         server.shutdown();
     }
 
+    /// A deeply nested body is a 400, not a stack overflow that takes the
+    /// whole process down with it.
+    #[test]
+    fn deeply_nested_body_is_rejected_and_the_server_survives() {
+        let _guard = locked();
+        let server = Server::start("127.0.0.1:0", 1).unwrap();
+        let addr = server.addr();
+        let (status, body) = call(addr, "POST", "/jobs", &"[".repeat(100_000));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting"), "{body}");
+        let (status, body) = call(addr, "GET", "/health", "");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"ok\": true"), "{body}");
+        server.shutdown();
+    }
+
     #[test]
     fn shutdown_endpoint_drains() {
         let _guard = locked();

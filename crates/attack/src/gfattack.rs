@@ -117,23 +117,13 @@ fn lanczos_cached(an: &CsrMatrix, t: usize, seed: u64) -> Option<bbgnn_linalg::e
             .field("topk", t)
             .field("seed", seed)
     });
-    if let Some(key) = &key {
-        if let Some(f) = bbgnn_store::lookup::<bbgnn_store::EigenFactors>(key) {
-            return Some(bbgnn_linalg::eigen::Eigen {
-                values: f.values,
-                vectors: f.vectors,
-            });
-        }
+    if let Some(eig) = key.as_ref().and_then(bbgnn_store::lookup) {
+        return Some(eig);
     }
+    // Publish rule: a supervision stop leaves no eigenpairs to store.
     let eig = lanczos_or_stop(an, t, seed)?;
     if let Some(key) = &key {
-        bbgnn_store::publish(
-            key,
-            &bbgnn_store::EigenFactors {
-                values: eig.values.clone(),
-                vectors: eig.vectors.clone(),
-            },
-        );
+        bbgnn_store::publish(key, &eig);
     }
     Some(eig)
 }

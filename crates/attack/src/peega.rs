@@ -183,21 +183,14 @@ enum Candidate {
 /// hash: the propagation reads both adjacency and features, either of
 /// which the attacker may have perturbed.
 fn propagate_cached(g: &Graph, hops: usize) -> DenseMatrix {
-    let key = bbgnn_store::enabled().then(|| {
-        bbgnn_store::Key::new("prep/propagate")
-            .hash_field("graph", g.content_hash())
-            .field("hops", hops)
-    });
-    if let Some(key) = &key {
-        if let Some(m) = bbgnn_store::lookup::<DenseMatrix>(key) {
-            return m;
-        }
-    }
-    let prop = g.propagate(hops);
-    if let Some(key) = &key {
-        bbgnn_store::publish(key, &prop);
-    }
-    prop
+    bbgnn_store::cached(
+        || {
+            bbgnn_store::Key::new("prep/propagate")
+                .hash_field("graph", g.content_hash())
+                .field("hops", hops)
+        },
+        || g.propagate(hops),
+    )
 }
 
 impl Attacker for Peega {

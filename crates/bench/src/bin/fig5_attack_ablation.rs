@@ -13,12 +13,9 @@
 //! `results/fig5_attack_ablation.checkpoint.json` for crash-safe resume.
 
 use bbgnn::prelude::*;
-use bbgnn_bench::{
-    config::ExpConfig,
-    fault::{CellValue, FaultRunner},
-    report::Table,
-};
-use bbgnn_scenario::eval::evaluate_defender_checked;
+use bbgnn_bench::{config::ExpConfig, fault::FaultRunner, report::Table};
+use bbgnn_scenario::eval::accuracy_cell;
+use bbgnn_scenario::job::CellValue;
 
 fn main() {
     let cfg = ExpConfig::from_args();
@@ -43,14 +40,7 @@ fn main() {
                     ..Default::default()
                 });
                 let poisoned = atk.attack(&g).poisoned;
-                let (stats, health) =
-                    evaluate_defender_checked(&DefenderKind::Gcn, &poisoned, cfg.runs, seed);
-                let text = stats.to_string();
-                Ok(if health.is_degraded() {
-                    CellValue::degraded(text)
-                } else {
-                    CellValue::clean(text)
-                })
+                Ok(accuracy_cell(&DefenderKind::Gcn, &poisoned, cfg.runs, seed))
             }));
         }
         table_a.push_row(cells);
@@ -103,16 +93,7 @@ fn main() {
         let eval_cell = |kind: DefenderKind| {
             let result = &result;
             move |seed: u64| match result {
-                Some(r) => {
-                    let (stats, health) =
-                        evaluate_defender_checked(&kind, &r.poisoned, cfg.runs, seed);
-                    let text = stats.to_string();
-                    Ok(if health.is_degraded() {
-                        CellValue::degraded(text)
-                    } else {
-                        CellValue::clean(text)
-                    })
-                }
+                Some(r) => Ok(accuracy_cell(&kind, &r.poisoned, cfg.runs, seed)),
                 None => Err(BbgnnError::ExperimentAborted {
                     cell: "fig5b".to_string(),
                     cause: "attack result missing for un-cached cell".to_string(),

@@ -13,11 +13,8 @@
 //! are competitive with Metattack/MinMax across victim depths.
 
 use bbgnn::prelude::*;
-use bbgnn_bench::{
-    config::ExpConfig,
-    fault::{CellValue, FaultRunner},
-    report::Table,
-};
+use bbgnn_bench::{config::ExpConfig, fault::FaultRunner, report::Table};
+use bbgnn_scenario::job::CellValue;
 
 fn gcn_acc_with_layers(g: &Graph, layers: usize, runs: usize, seed: u64) -> MeanStd {
     let accs: Vec<f64> = (0..runs)

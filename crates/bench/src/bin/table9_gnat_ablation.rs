@@ -14,12 +14,8 @@
 //! each multi-view variant beats its merged counterpart; t+f+e is best.
 
 use bbgnn::prelude::*;
-use bbgnn_bench::{
-    config::ExpConfig,
-    fault::{CellValue, FaultRunner},
-    report::Table,
-};
-use bbgnn_scenario::eval::evaluate_defender_checked;
+use bbgnn_bench::{config::ExpConfig, fault::FaultRunner, report::Table};
+use bbgnn_scenario::eval::accuracy_cell;
 
 fn variants() -> Vec<(&'static str, Vec<View>, bool)> {
     use View::{Ego as E, Feature as F, Topology as T};
@@ -87,13 +83,7 @@ fn main() {
             });
             let key = format!("{}/{name}", spec.name());
             cells.push(harness.cell(&key, cfg.seed, |seed| {
-                let (stats, health) = evaluate_defender_checked(&kind, g, cfg.runs, seed);
-                let text = stats.to_string();
-                Ok(if health.is_degraded() {
-                    CellValue::degraded(text)
-                } else {
-                    CellValue::clean(text)
-                })
+                Ok(accuracy_cell(&kind, g, cfg.runs, seed))
             }));
         }
         eprintln!("[{name} done]");

@@ -42,11 +42,9 @@
 use crate::checkpoint::{CellRecord, Checkpoint};
 use crate::config::ExpConfig;
 use bbgnn_errors::{BbgnnError, RetryPolicy};
-use bbgnn_scenario::job::{default_sleeper, run_cell, CellOutcome, CellResult, Job};
-
-// The cell-value vocabulary moved to the scenario layer (PR 7) so jobs
-// and the server share it; re-exported here to keep the historical paths.
-pub use bbgnn_scenario::job::{CellValue, FAILED_CELL};
+use bbgnn_scenario::job::{
+    default_sleeper, run_cell, CellOutcome, CellResult, CellValue, Job, FAILED_CELL,
+};
 
 /// Running outcome counters for one sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

@@ -8,7 +8,8 @@
 
 use bbgnn::prelude::*;
 use bbgnn_bench::config::ExpConfig;
-use bbgnn_bench::fault::{CellValue, FaultRunner, FAILED_CELL};
+use bbgnn_bench::fault::FaultRunner;
+use bbgnn_scenario::job::{CellValue, FAILED_CELL};
 use bbgnn_supervise::fault;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -7,9 +7,10 @@
 //! unflushed state.
 
 use bbgnn_bench::config::ExpConfig;
-use bbgnn_bench::fault::{CellValue, FaultRunner};
+use bbgnn_bench::fault::FaultRunner;
 use bbgnn_bench::report::Table;
 use bbgnn_errors::BbgnnError;
+use bbgnn_scenario::job::CellValue;
 
 const CELLS: usize = 6;
 

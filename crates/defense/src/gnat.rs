@@ -23,7 +23,7 @@
 
 use crate::Defender;
 use bbgnn_autodiff::{Tape, TensorId};
-use bbgnn_gnn::train::{train_node_classifier_keyed, Mode, TrainConfig, TrainReport};
+use bbgnn_gnn::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::{CsrMatrix, DenseMatrix};
@@ -293,7 +293,7 @@ impl NodeClassifier for Gnat {
         // `g` is the pruned graph when prune_threshold is set, so the graph
         // hash inside the keyed loop already reflects pruning; the knobs
         // below cover everything else that shapes the views and weights.
-        let salt = bbgnn_store::enabled().then(|| {
+        let salt = || {
             bbgnn_store::Key::new("model/gnat")
                 .field("k_t", self.config.k_t)
                 .field("k_f", self.config.k_f)
@@ -302,12 +302,12 @@ impl NodeClassifier for Gnat {
                 .field("merged", self.config.merged)
                 .field("prune", format!("{:?}", self.config.prune_threshold))
                 .field("hidden", self.config.hidden)
-        });
+        };
         let this = &*self;
-        let report =
-            train_node_classifier_keyed(&mut weights, g, &cfg, salt, |tape, params, mode| {
-                this.forward(tape, params, &views, &x, mode)
-            });
+        let report = train_node_classifier(&mut weights, g, &cfg, salt, |tape, params, mode| {
+            let (logits, ids) = this.forward(tape, params, &views, &x, mode);
+            (logits, ids, None)
+        });
         self.weights = weights;
         report
     }

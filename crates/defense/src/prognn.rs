@@ -33,23 +33,16 @@ use std::rc::Rc;
 /// and is a pure function of the structure matrix plus its knobs, so a
 /// resumed or repeated Pro-GNN run replays it from disk.
 fn shrink_cached(s: &DenseMatrix, tau: f64, rank: usize, seed: u64) -> DenseMatrix {
-    let key = bbgnn_store::enabled().then(|| {
-        bbgnn_store::Key::new("factors/shrink")
-            .hash_field("s", s.content_hash())
-            .field("tau", tau)
-            .field("rank", rank)
-            .field("seed", seed)
-    });
-    if let Some(key) = &key {
-        if let Some(m) = bbgnn_store::lookup::<DenseMatrix>(key) {
-            return m;
-        }
-    }
-    let out = singular_value_shrink(s, tau, rank, seed);
-    if let Some(key) = &key {
-        bbgnn_store::publish(key, &out);
-    }
-    out
+    bbgnn_store::cached(
+        || {
+            bbgnn_store::Key::new("factors/shrink")
+                .hash_field("s", s.content_hash())
+                .field("tau", tau)
+                .field("rank", rank)
+                .field("seed", seed)
+        },
+        || singular_value_shrink(s, tau, rank, seed),
+    )
 }
 
 /// Pro-GNN configuration. Defaults follow the reference implementation's
@@ -174,11 +167,6 @@ impl ProGnn {
         tape.backward(loss);
         // lint: allow(panic) reason=sv is a tape.var leaf on the path to loss, so backward always populates its gradient
         tape.grad(sv).expect("structure gradient").clone()
-    }
-
-    /// The learned purified adjacency (normalized), if fitted.
-    pub fn learned_adjacency(&self) -> Option<&Rc<CsrMatrix>> {
-        self.learned_an.as_ref()
     }
 }
 

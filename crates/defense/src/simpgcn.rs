@@ -18,7 +18,7 @@
 
 use crate::Defender;
 use bbgnn_autodiff::{Tape, TensorId};
-use bbgnn_gnn::train::{train_with_regularizer_keyed, Mode, TrainConfig, TrainReport};
+use bbgnn_gnn::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::dense::cosine_similarity;
@@ -201,15 +201,15 @@ impl NodeClassifier for SimPGcn {
         let mut params = self.init_params(g.feature_dim(), g.num_classes);
         let x = g.features.clone();
         let cfg = self.config.train.clone();
-        let salt = bbgnn_store::enabled().then(|| {
+        let salt = || {
             bbgnn_store::Key::new("model/simpgcn")
                 .field("hidden", self.config.hidden)
                 .field("knn", self.config.knn)
                 .field("ssl_pairs", self.config.ssl_pairs)
                 .field("ssl_weight", self.config.ssl_weight)
-        });
+        };
         let this = &*self;
-        let report = train_with_regularizer_keyed(&mut params, g, &cfg, salt, |tape, p, mode| {
+        let report = train_node_classifier(&mut params, g, &cfg, salt, |tape, p, mode| {
             this.forward(tape, p, &an, &af, &x, Some(&ssl), mode)
         });
         self.params = params;

@@ -12,7 +12,6 @@ use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::svd::{randomized_svd, Svd};
 use bbgnn_linalg::{CsrMatrix, DenseMatrix};
-use bbgnn_store::SvdFactors;
 use std::rc::Rc;
 
 /// GCN-SVD configuration.
@@ -70,35 +69,18 @@ impl GcnSvd {
     /// hash (not the whole graph: a feature-only perturbation reuses the
     /// factors) plus every knob of the randomized-SVD call.
     fn factorize(&self, a: &DenseMatrix) -> Svd {
-        let key = bbgnn_store::enabled().then(|| {
-            bbgnn_store::Key::new("factors/svd")
-                .hash_field("adj", a.content_hash())
-                .field("rank", self.config.rank)
-                .field("oversample", 8)
-                .field("iters", 2)
-                .field("seed", self.config.train.seed)
-        });
-        if let Some(key) = &key {
-            if let Some(f) = bbgnn_store::lookup::<SvdFactors>(key) {
-                return Svd {
-                    u: f.u,
-                    sigma: f.sigma,
-                    v: f.v,
-                };
-            }
-        }
-        let svd = randomized_svd(a, self.config.rank, 8, 2, self.config.train.seed);
-        if let Some(key) = &key {
-            bbgnn_store::publish(
-                key,
-                &SvdFactors {
-                    u: svd.u.clone(),
-                    sigma: svd.sigma.clone(),
-                    v: svd.v.clone(),
-                },
-            );
-        }
-        svd
+        let (rank, seed) = (self.config.rank, self.config.train.seed);
+        bbgnn_store::cached(
+            || {
+                bbgnn_store::Key::new("factors/svd")
+                    .hash_field("adj", a.content_hash())
+                    .field("rank", rank)
+                    .field("oversample", 8)
+                    .field("iters", 2)
+                    .field("seed", seed)
+            },
+            || randomized_svd(a, rank, 8, 2, seed),
+        )
     }
 }
 

@@ -286,14 +286,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn no_retries() -> Self {
-        Self {
-            max_retries: 0,
-            ..Self::default()
-        }
-    }
-
     /// Deterministic seed perturbation: attempt 0 uses `base` unchanged,
     /// attempt `i` mixes in an odd-constant multiple so seeds never collide
     /// across nearby bases.

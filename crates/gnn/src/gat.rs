@@ -16,7 +16,7 @@
 //! allocated. The edge ops reproduce the dense masked-attention chain bit
 //! for bit (DESIGN.md §7).
 
-use crate::train::{train_node_classifier_keyed, Mode, TrainConfig, TrainReport};
+use crate::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use crate::NodeClassifier;
 use bbgnn_autodiff::{Tape, TensorId};
 use bbgnn_graph::Graph;
@@ -175,15 +175,16 @@ impl NodeClassifier for Gat {
         let mut params = self.init_params(g.feature_dim(), g.num_classes);
         let x = g.features.clone();
         let cfg = self.config.clone();
-        let salt = bbgnn_store::enabled().then(|| {
+        let salt = || {
             bbgnn_store::Key::new("model/gat")
                 .field("hidden_per_head", self.hidden_per_head)
                 .field("heads", self.heads)
                 .field("neg_slope", self.neg_slope)
-        });
+        };
         let this = &*self;
-        let report = train_node_classifier_keyed(&mut params, g, &cfg, salt, |tape, p, mode| {
-            this.forward(tape, p, &mask, &x, mode)
+        let report = train_node_classifier(&mut params, g, &cfg, salt, |tape, p, mode| {
+            let (logits, ids) = this.forward(tape, p, &mask, &x, mode);
+            (logits, ids, None)
         });
         self.params = params;
         report

@@ -1,6 +1,6 @@
 //! The Kipf–Welling graph convolutional network (Eq. 1–2 of the paper).
 
-use crate::train::{train_node_classifier_keyed, Mode, TrainConfig, TrainReport};
+use crate::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use crate::NodeClassifier;
 use bbgnn_autodiff::{Tape, TensorId};
 use bbgnn_graph::Graph;
@@ -19,7 +19,6 @@ pub struct Gcn {
     /// Training configuration.
     pub config: TrainConfig,
     weights: Vec<DenseMatrix>,
-    trained_on: Option<Rc<CsrMatrix>>,
 }
 
 /// Hidden widths as a stable key token, e.g. `16x16`.
@@ -37,7 +36,6 @@ impl Gcn {
             hidden,
             config,
             weights: Vec::new(),
-            trained_on: None,
         }
     }
 
@@ -102,7 +100,6 @@ impl Gcn {
     /// preprocessing defenders like GCN-SVD.
     pub fn fit_on(&mut self, g: &Graph, an: Rc<CsrMatrix>) -> TrainReport {
         assert_eq!(an.rows(), g.num_nodes(), "adjacency size mismatch");
-        self.trained_on = Some(Rc::clone(&an));
         let mut weights = self.init_weights(g.feature_dim(), g.num_classes);
         let dropout = self.config.dropout;
         let x = g.features.clone();
@@ -110,16 +107,16 @@ impl Gcn {
         // The adjacency is a caller-supplied input (e.g. GCN-SVD's purified
         // graph), so its content hash must be part of the key: a raw GCN and
         // a purified one share `g` and config but must never share weights.
-        let salt = bbgnn_store::enabled().then(|| {
+        let salt = || {
             bbgnn_store::Key::new("model/gcn")
                 .field("hidden", join_dims(&self.hidden))
                 .hash_field("an", an.content_hash())
-        });
+        };
         let this = &*self;
-        let report =
-            train_node_classifier_keyed(&mut weights, g, &cfg, salt, |tape, params, mode| {
-                this.forward(tape, params, &an, &x, dropout, mode)
-            });
+        let report = train_node_classifier(&mut weights, g, &cfg, salt, |tape, params, mode| {
+            let (logits, ids) = this.forward(tape, params, &an, &x, dropout, mode);
+            (logits, ids, None)
+        });
         self.weights = weights;
         report
     }
@@ -137,11 +134,6 @@ impl Gcn {
     pub fn logits(&self, g: &Graph) -> DenseMatrix {
         let an = Rc::new(g.normalized_adjacency());
         self.logits_on(&g.features, &an)
-    }
-
-    /// The adjacency this model was trained on, if any.
-    pub fn trained_adjacency(&self) -> Option<&Rc<CsrMatrix>> {
-        self.trained_on.as_ref()
     }
 }
 

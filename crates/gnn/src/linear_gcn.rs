@@ -5,7 +5,7 @@
 //! nonlinearity, the propagation `A_nᴸ X` can be precomputed once; training
 //! reduces to logistic regression on the propagated features.
 
-use crate::train::{train_node_classifier_keyed, TrainConfig, TrainReport};
+use crate::train::{train_node_classifier, TrainConfig, TrainReport};
 use crate::NodeClassifier;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::DenseMatrix;
@@ -68,12 +68,11 @@ impl LinearGcn {
             self.config.seed,
         )];
         let cfg = self.config.clone();
-        let salt = bbgnn_store::enabled()
-            .then(|| bbgnn_store::Key::new("model/linear_gcn").field("hops", self.hops));
-        let report = train_node_classifier_keyed(&mut params, g, &cfg, salt, |tape, p, _| {
+        let salt = || bbgnn_store::Key::new("model/linear_gcn").field("hops", self.hops);
+        let report = train_node_classifier(&mut params, g, &cfg, salt, |tape, p, _| {
             let w = tape.var(p[0].clone());
             let hc = tape.constant(h.clone());
-            (tape.matmul(hc, w), vec![w])
+            (tape.matmul(hc, w), vec![w], None)
         });
         // lint: allow(panic) reason=params is constructed three lines up with exactly one weight matrix
         self.weight = Some(params.pop().expect("one parameter"));

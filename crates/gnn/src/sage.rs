@@ -11,7 +11,7 @@
 //! graphs are generated against a linear-GCN surrogate, and GraphSAGE
 //! checks that the attack transfers across aggregation schemes.
 
-use crate::train::{train_node_classifier_keyed, Mode, TrainConfig, TrainReport};
+use crate::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use crate::NodeClassifier;
 use bbgnn_autodiff::{Tape, TensorId};
 use bbgnn_graph::Graph;
@@ -108,11 +108,11 @@ impl NodeClassifier for GraphSage {
         let mut params = self.init_params(g.feature_dim(), g.num_classes);
         let x = g.features.clone();
         let cfg = self.config.clone();
-        let salt = bbgnn_store::enabled()
-            .then(|| bbgnn_store::Key::new("model/sage").field("hidden", self.hidden));
+        let salt = || bbgnn_store::Key::new("model/sage").field("hidden", self.hidden);
         let this = &*self;
-        let report = train_node_classifier_keyed(&mut params, g, &cfg, salt, |tape, p, mode| {
-            this.forward(tape, p, &am, &x, mode)
+        let report = train_node_classifier(&mut params, g, &cfg, salt, |tape, p, mode| {
+            let (logits, ids) = this.forward(tape, p, &am, &x, mode);
+            (logits, ids, None)
         });
         self.params = params;
         report

@@ -13,6 +13,8 @@ use bbgnn_autodiff::{Tape, TensorId};
 use bbgnn_errors::first_non_finite;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::{DenseMatrix, ExecContext};
+use bbgnn_store::format::{Artifact, Reader, Writer};
+use bbgnn_store::Key;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -87,14 +89,6 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
-    /// Copy of `self` with a different seed — used for repeated runs.
-    pub fn with_seed(&self, seed: u64) -> Self {
-        Self {
-            seed,
-            ..self.clone()
-        }
-    }
-
     /// A fast configuration for unit tests.
     pub fn fast_test() -> Self {
         Self {
@@ -107,7 +101,7 @@ impl TrainConfig {
 }
 
 /// Outcome of a training run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrainReport {
     /// Epochs actually executed (≤ configured epochs under early stopping).
     pub epochs_run: usize,
@@ -129,13 +123,76 @@ pub struct TrainReport {
     pub interrupted: bool,
 }
 
+/// A trained model as the artifact store keeps it (tag 3, kind `model`):
+/// the parameter matrices in the order the model's `fit` built them, and
+/// the report of the run that trained them.
+#[derive(Clone, Debug)]
+pub struct TrainedModel {
+    /// Parameter matrices, in layer order.
+    pub weights: Vec<DenseMatrix>,
+    /// Report of the original training run. A hit replays it, so its
+    /// `seconds` is the cost the hit saved, not the load time.
+    pub report: TrainReport,
+}
+
+impl Artifact for TrainedModel {
+    const TAG: u8 = 3;
+    const KIND: &'static str = "model";
+
+    fn encode(&self, w: &mut Writer) {
+        w.usize(self.weights.len());
+        for m in &self.weights {
+            m.encode(w);
+        }
+        let r = &self.report;
+        w.usize(r.epochs_run);
+        w.f64(r.best_val_accuracy);
+        w.f64(r.final_loss);
+        w.f64(r.seconds);
+        w.usize(r.divergence_recoveries);
+        w.bool(r.diverged);
+    }
+
+    fn decode(r: &mut Reader) -> Result<Self, String> {
+        let n = r.len_prefix(8)?;
+        let mut weights = Vec::with_capacity(n);
+        for _ in 0..n {
+            weights.push(DenseMatrix::decode(r)?);
+        }
+        let report = TrainReport {
+            epochs_run: r.usize()?,
+            best_val_accuracy: r.f64()?,
+            final_loss: r.f64()?,
+            seconds: r.f64()?,
+            divergence_recoveries: r.usize()?,
+            diverged: r.bool()?,
+            // Not stored: an interrupted run is never published.
+            interrupted: false,
+        };
+        Ok(TrainedModel { weights, report })
+    }
+}
+
 /// Trains `params` with Adam by repeatedly calling `forward` to build the
 /// loss and logits, early-stopping on validation accuracy.
 ///
 /// `forward(tape, params, mode)` must register each parameter with
-/// `tape.var` *in order* and return `(logits, param_ids)`; it receives
-/// [`Mode::Train`] on optimization passes and [`Mode::Eval`] on the
-/// early-stopping validation pass.
+/// `tape.var` *in order* and return `(logits, param_ids, regularizer)`;
+/// it receives [`Mode::Train`] on optimization passes and [`Mode::Eval`]
+/// on the early-stopping validation pass. A `Some` regularizer is a
+/// scalar loss tensor (RGCN's KL term, SimPGCN's self-supervised
+/// similarity loss) added to the cross-entropy before backward.
+///
+/// `salt` names the model: its architecture and every shape knob. With
+/// an artifact store installed it is completed with the graph's content
+/// hash and every [`TrainConfig`] field, so two trainings share an
+/// artifact iff their inputs are bit-for-bit identical, and a hit
+/// installs the stored weights and returns the original run's report
+/// **without opening a `train/fit` span or running a single epoch**.
+/// A stored model whose shapes differ from `params` (a layout changed
+/// without its salt) is retrained, and an interrupted run is never
+/// stored, so a later unconstrained run retrains fully instead of
+/// inheriting a partial model. With no store, `salt` is never called.
 ///
 /// This is the one training loop shared by GCN, GAT, the linear surrogate,
 /// and every trained defender, so early stopping and bookkeeping behave
@@ -144,80 +201,30 @@ pub fn train_node_classifier(
     params: &mut Vec<DenseMatrix>,
     g: &Graph,
     cfg: &TrainConfig,
-    mut forward: impl FnMut(&mut Tape, &[DenseMatrix], Mode) -> (TensorId, Vec<TensorId>),
-) -> TrainReport {
-    train_with_regularizer(params, g, cfg, |tape, p, mode| {
-        let (logits, ids) = forward(tape, p, mode);
-        (logits, ids, None)
-    })
-}
-
-/// [`train_node_classifier`] with an optional artifact-store warm start.
-///
-/// `salt` carries the model's identity (architecture + every shape knob);
-/// this function completes it with the graph's content hash and every
-/// [`TrainConfig`] field, so two trainings share an artifact iff their
-/// inputs are bit-for-bit identical. On a store hit the cached weights
-/// are installed and the original run's report returned **without
-/// opening a `train/fit` span or running a single epoch** — a warm start
-/// is observably a load, not a training. Call sites should gate salt
-/// construction on [`bbgnn_store::enabled`] so content hashing costs
-/// nothing when no store is active.
-pub fn train_node_classifier_keyed(
-    params: &mut Vec<DenseMatrix>,
-    g: &Graph,
-    cfg: &TrainConfig,
-    salt: Option<bbgnn_store::Key>,
-    mut forward: impl FnMut(&mut Tape, &[DenseMatrix], Mode) -> (TensorId, Vec<TensorId>),
-) -> TrainReport {
-    train_with_regularizer_keyed(params, g, cfg, salt, |tape, p, mode| {
-        let (logits, ids) = forward(tape, p, mode);
-        (logits, ids, None)
-    })
-}
-
-/// [`train_with_regularizer`] with the warm-start behaviour of
-/// [`train_node_classifier_keyed`].
-pub fn train_with_regularizer_keyed(
-    params: &mut Vec<DenseMatrix>,
-    g: &Graph,
-    cfg: &TrainConfig,
-    salt: Option<bbgnn_store::Key>,
+    salt: impl FnOnce() -> Key,
     forward: impl FnMut(&mut Tape, &[DenseMatrix], Mode) -> (TensorId, Vec<TensorId>, Option<TensorId>),
 ) -> TrainReport {
-    let key = salt
-        .filter(|_| bbgnn_store::enabled())
-        .map(|s| complete_model_key(s, g, cfg));
-    if let Some(key) = &key {
-        if let Some(model) = bbgnn_store::lookup::<bbgnn_store::TrainedModel>(key) {
-            // Shape check: a filename collision already degraded to a miss
-            // inside the store (key text is compared), so a mismatch here
-            // can only mean the call site changed its parameter layout
-            // without changing its salt — retrain rather than trust it.
-            let shapes_match = model.weights.len() == params.len()
-                && model
-                    .weights
-                    .iter()
-                    .zip(params.iter())
-                    .all(|(a, b)| a.rows() == b.rows() && a.cols() == b.cols());
-            if shapes_match {
-                *params = model.weights;
-                return report_from_store(&model.report);
-            }
+    let key = bbgnn_store::enabled().then(|| complete_model_key(salt(), g, cfg));
+    // Publish rule: retrain on a shape mismatch, never store an interrupted run.
+    if let Some(model) = key.as_ref().and_then(bbgnn_store::lookup::<TrainedModel>) {
+        let shapes_match = model.weights.len() == params.len()
+            && model
+                .weights
+                .iter()
+                .zip(params.iter())
+                .all(|(a, b)| a.rows() == b.rows() && a.cols() == b.cols());
+        if shapes_match {
+            *params = model.weights;
+            return model.report;
         }
     }
-    let report = train_with_regularizer(params, g, cfg, forward);
-    // Never cache an interrupted (budget/cancel-degraded) training: a later
-    // unconstrained run with the same key must retrain fully, not inherit a
-    // partially-trained model.
+    let report = fit(params, g, cfg, forward);
     if let Some(key) = key.as_ref().filter(|_| !report.interrupted) {
-        bbgnn_store::publish(
-            key,
-            &bbgnn_store::TrainedModel {
-                weights: params.clone(),
-                report: report_to_store(&report),
-            },
-        );
+        let model = TrainedModel {
+            weights: params.clone(),
+            report: report.clone(),
+        };
+        bbgnn_store::publish(key, &model);
     }
     report
 }
@@ -225,7 +232,7 @@ pub fn train_with_regularizer_keyed(
 /// Extends a model salt into a full cache key: graph content hash plus
 /// every training hyperparameter (float `Display` is shortest-roundtrip,
 /// hence lossless).
-fn complete_model_key(salt: bbgnn_store::Key, g: &Graph, cfg: &TrainConfig) -> bbgnn_store::Key {
+fn complete_model_key(salt: Key, g: &Graph, cfg: &TrainConfig) -> Key {
     salt.hash_field("graph", g.content_hash())
         .field("lr", cfg.lr)
         .field("wd", cfg.weight_decay)
@@ -235,35 +242,8 @@ fn complete_model_key(salt: bbgnn_store::Key, g: &Graph, cfg: &TrainConfig) -> b
         .field("seed", cfg.seed)
 }
 
-fn report_to_store(r: &TrainReport) -> bbgnn_store::ModelReport {
-    bbgnn_store::ModelReport {
-        epochs_run: r.epochs_run,
-        best_val_accuracy: r.best_val_accuracy,
-        final_loss: r.final_loss,
-        seconds: r.seconds,
-        divergence_recoveries: r.divergence_recoveries,
-        diverged: r.diverged,
-    }
-}
-
-fn report_from_store(r: &bbgnn_store::ModelReport) -> TrainReport {
-    TrainReport {
-        epochs_run: r.epochs_run,
-        best_val_accuracy: r.best_val_accuracy,
-        final_loss: r.final_loss,
-        seconds: r.seconds,
-        divergence_recoveries: r.divergence_recoveries,
-        diverged: r.diverged,
-        // Interrupted runs are never published (see the publish gate), so a
-        // store hit is by construction a completed training.
-        interrupted: false,
-    }
-}
-
-/// Like [`train_node_classifier`], but `forward` may return an extra scalar
-/// loss tensor (a regularizer — RGCN's KL term, SimPGCN's self-supervised
-/// similarity loss) that is added to the cross-entropy before backward.
-pub fn train_with_regularizer(
+/// The training loop itself, store-free.
+fn fit(
     params: &mut Vec<DenseMatrix>,
     g: &Graph,
     cfg: &TrainConfig,
@@ -422,6 +402,11 @@ mod tests {
     use bbgnn_graph::datasets::DatasetSpec;
     use std::rc::Rc;
 
+    /// The tests run with no store installed, so the salt is never built.
+    fn salt() -> Key {
+        Key::new("model/test")
+    }
+
     /// Logistic regression on features via the shared loop learns a
     /// feature-separable dataset.
     #[test]
@@ -437,11 +422,11 @@ mod tests {
             dropout: 0.0,
             ..Default::default()
         };
-        let report = train_node_classifier(&mut params, &g, &cfg, |tape, p, _| {
+        let report = train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, _| {
             let w = tape.var(p[0].clone());
             let xc = tape.constant(x.clone());
             let logits = tape.matmul(xc, w);
-            (logits, vec![w])
+            (logits, vec![w], None)
         });
         assert!(report.epochs_run > 0);
         assert!(report.final_loss.is_finite());
@@ -470,11 +455,11 @@ mod tests {
             dropout: 0.0,
             ..Default::default()
         };
-        let report = train_node_classifier(&mut params, &g, &cfg, |tape, p, _| {
+        let report = train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, _| {
             let w = tape.var(p[0].clone());
             let xc = tape.constant((*x).clone());
             let logits = tape.matmul(xc, w);
-            (logits, vec![w])
+            (logits, vec![w], None)
         });
         assert!(
             report.epochs_run < 500,
@@ -497,7 +482,7 @@ mod tests {
             dropout: 0.0,
             ..Default::default()
         };
-        train_with_regularizer(&mut params, &g, &cfg, |tape, p, mode| {
+        train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, mode| {
             let w = tape.var(p[0].clone());
             let xc = tape.constant((*x).clone());
             let logits = tape.matmul(xc, w);
@@ -535,6 +520,38 @@ mod tests {
             report.epochs_run,
             MAX_DIVERGENCE_RECOVERIES + 1,
             "training must stop right after the budget runs out"
+        );
+    }
+
+    #[test]
+    fn model_roundtrip_preserves_report() {
+        let model = TrainedModel {
+            weights: vec![
+                DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]),
+                DenseMatrix::from_vec(2, 1, vec![-1.0, 0.5]),
+            ],
+            report: TrainReport {
+                epochs_run: 42,
+                best_val_accuracy: 0.815,
+                final_loss: 0.33,
+                seconds: 1.25,
+                divergence_recoveries: 1,
+                diverged: false,
+                interrupted: false,
+            },
+        };
+        let mut w = Writer::new();
+        model.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = TrainedModel::decode(&mut r).expect("decode");
+        r.finish().expect("fully consumed");
+        assert_eq!(back.weights.len(), 2);
+        assert_eq!(back.report, model.report);
+        assert_eq!(
+            back.weights[1].as_slice(),
+            model.weights[1].as_slice(),
+            "weights must survive bitwise"
         );
     }
 }

@@ -5,7 +5,7 @@
 
 use bbgnn_gnn::gcn::Gcn;
 use bbgnn_gnn::linear_gcn::LinearGcn;
-use bbgnn_gnn::train::{train_with_regularizer, TrainConfig};
+use bbgnn_gnn::train::{train_node_classifier, TrainConfig};
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::datasets::{DatasetSpec, SbmParams};
 use bbgnn_graph::{Graph, Split};
@@ -99,7 +99,7 @@ fn training_report_reflects_early_stopping() {
 
 #[test]
 fn regularized_training_changes_parameters() {
-    // train_with_regularizer must route the extra-loss gradient into the
+    // train_node_classifier must route the extra-loss gradient into the
     // parameters (RGCN's KL, SimPGCN's SSL rely on this).
     let g = DatasetSpec::CoraLike.generate(0.05, 605);
     let d = g.feature_dim();
@@ -113,7 +113,8 @@ fn regularized_training_changes_parameters() {
             dropout: 0.0,
             ..Default::default()
         };
-        train_with_regularizer(&mut params, &g, &cfg, |tape, p, _| {
+        let salt = || bbgnn_store::Key::new("model/test");
+        train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, _| {
             let w = tape.var(p[0].clone());
             let xc = tape.constant(x.clone());
             let logits = tape.matmul(xc, w);

@@ -24,11 +24,12 @@ fn fit(cfg: &TrainConfig) -> (bbgnn_gnn::train::TrainReport, Vec<DenseMatrix>) {
     let k = g.num_classes;
     let mut params = vec![DenseMatrix::glorot(d, k, 5)];
     let x = g.features.clone();
-    let report = train_node_classifier(&mut params, &g, cfg, |tape, p, _| {
+    let salt = || bbgnn_store::Key::new("model/test");
+    let report = train_node_classifier(&mut params, &g, cfg, salt, |tape, p, _| {
         let w = tape.var(p[0].clone());
         let xc = tape.constant(x.clone());
         let logits = tape.matmul(xc, w);
-        (logits, vec![w])
+        (logits, vec![w], None)
     });
     (report, params)
 }

@@ -261,14 +261,6 @@ impl Graph {
         )
     }
 
-    /// Replaces the features, keeping everything else.
-    pub fn with_features(&self, features: DenseMatrix) -> Graph {
-        assert_eq!(features.rows(), self.num_nodes(), "feature rows mismatch");
-        let mut g = self.clone();
-        g.features = features;
-        g
-    }
-
     /// Number of differing undirected edges between `self` and `other`
     /// (`‖Â − A‖₀` in undirected-edge units).
     pub fn edge_difference(&self, other: &Graph) -> usize {

@@ -10,7 +10,6 @@
 //! crates downstream.
 
 use crate::splits::Split;
-use crate::Graph;
 use bbgnn_errors::{BbgnnError, BbgnnResult};
 use bbgnn_linalg::{CsrMatrix, DenseMatrix};
 
@@ -133,20 +132,6 @@ pub fn validate_symmetric(adj: &CsrMatrix) -> BbgnnResult<()> {
         }
     }
     Ok(())
-}
-
-/// Validates an already-constructed [`Graph`] (features, labels, splits;
-/// the stored adjacency is symmetric and loop-free by construction).
-pub fn validate_graph(g: &Graph) -> BbgnnResult<()> {
-    validate_parts(
-        g.num_nodes(),
-        &[],
-        &g.features,
-        &g.labels,
-        g.num_classes,
-        &g.split,
-        &ValidationPolicy::default(),
-    )
 }
 
 #[cfg(test)]

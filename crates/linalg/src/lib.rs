@@ -45,11 +45,3 @@ pub use sparse::CsrMatrix;
 /// Numerical tolerance used as a default convergence threshold across the
 /// iterative routines in this crate.
 pub const DEFAULT_TOL: f64 = 1e-10;
-
-/// Returns `true` when `a` and `b` agree to within `tol` absolutely or
-/// relatively (whichever is looser), the comparison used by this crate's
-/// test-suites.
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}

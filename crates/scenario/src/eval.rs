@@ -2,6 +2,7 @@
 //! of Tables IV–VIII, lifted out of the bench crate so jobs can run them
 //! from any entry point.
 
+use crate::job::CellValue;
 use crate::registry::{AttackerKind, DefenderKind};
 use bbgnn_attack::AttackResult;
 use bbgnn_gnn::eval::MeanStd;
@@ -105,6 +106,18 @@ pub fn evaluate_defender_checked(
         accs.push(model.test_accuracy(g));
     }
     (MeanStd::of(&accs), health)
+}
+
+/// One accuracy cell: [`evaluate_defender_checked`]'s mean ± std, tagged
+/// degraded when any run needed a recovery path.
+pub fn accuracy_cell(kind: &DefenderKind, g: &Graph, runs: usize, base_seed: u64) -> CellValue {
+    let (stats, health) = evaluate_defender_checked(kind, g, runs, base_seed);
+    let text = stats.to_string();
+    if health.is_degraded() {
+        CellValue::degraded(text)
+    } else {
+        CellValue::clean(text)
+    }
 }
 
 /// Like [`evaluate_defender`] but also returns the mean training seconds

@@ -25,7 +25,7 @@
 //! here.
 
 use crate::dataset;
-use crate::eval::{evaluate_defender_checked, evaluate_defender_timed};
+use crate::eval::{accuracy_cell, evaluate_defender_timed};
 use crate::json::Json;
 use crate::registry::{attacker_by_name, defender_by_name, AttackerKind, DefenderKind};
 use bbgnn_errors::{BbgnnError, BbgnnResult, RetryPolicy};
@@ -599,14 +599,12 @@ impl Job {
                         &owned
                     }
                 };
-                let (stats, health) =
-                    evaluate_defender_checked(&self.column, input, self.spec.eval.runs, seed);
-                let text = stats.to_string();
-                Ok(if health.is_degraded() {
-                    CellValue::degraded(text)
-                } else {
-                    CellValue::clean(text)
-                })
+                Ok(accuracy_cell(
+                    &self.column,
+                    input,
+                    self.spec.eval.runs,
+                    seed,
+                ))
             }
             EvalKind::AttackTime => {
                 let kind = self.attack.as_ref().ok_or_else(|| {
@@ -686,13 +684,13 @@ pub fn run_cell(
     // Recording is thread-local: the cell runs on this thread, pool
     // workers spawned inside are intentionally not captured.
     bbgnn_store::start_recording();
-    let skipped = |detail: String| {
+    let skipped = |attempts: usize, detail: String| {
         let _ = bbgnn_store::take_recording();
         CellResult {
             key: key.to_string(),
             value: FAILED_CELL.to_string(),
             outcome: CellOutcome::Skipped,
-            attempts: 0,
+            attempts,
             detail: Some(detail),
             artifacts: Vec::new(),
         }
@@ -705,7 +703,7 @@ pub fn run_cell(
         // façade, and retrying it would burn the retry budget into a
         // `failed` outcome that a resume could never heal.
         if let Some(stop) = bbgnn_supervise::stop_reason("job/run") {
-            return skipped(format!("{stop:?}"));
+            return skipped(attempts, format!("{stop:?}"));
         }
         attempts = n + 1;
         let seed = RetryPolicy::seed_for_attempt(base_seed, n);
@@ -725,7 +723,10 @@ pub fn run_cell(
                         Some(Stop::Cancelled)
                     )
                 {
-                    return skipped("cancelled mid-cell; partial value discarded".into());
+                    return skipped(
+                        attempts,
+                        "cancelled mid-cell; partial value discarded".into(),
+                    );
                 }
                 let outcome = if value.degraded {
                     CellOutcome::Degraded
@@ -754,7 +755,7 @@ pub fn run_cell(
         };
         // The run is winding down and a resume will recompute this cell.
         if error.is_supervision_stop() {
-            return skipped(error.to_string());
+            return skipped(attempts, error.to_string());
         }
         last_cause = error.to_string();
         let retryable =

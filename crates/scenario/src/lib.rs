@@ -165,5 +165,29 @@ mod tests {
         assert_eq!(calls, 1, "a cancelled run must not burn retries");
         assert_eq!(r.outcome, CellOutcome::Skipped);
         assert_eq!(r.value, FAILED_CELL);
+        assert_eq!(r.attempts, 1, "the attempt that surfaced the stop ran");
+    }
+
+    #[test]
+    fn cancel_seen_before_a_retry_counts_the_attempts_run() {
+        let _g = locked();
+        let scope = bbgnn_supervise::SupervisionScope::new();
+        let _entered = bbgnn_supervise::enter(&scope);
+        let policy = RetryPolicy {
+            max_retries: 5,
+            ..Default::default()
+        };
+        let mut calls = 0;
+        let r = run_cell("cell", 0, &policy, quiet_sleep, |_| {
+            calls += 1;
+            scope.cancel();
+            Err(BbgnnError::NumericalDivergence {
+                what: "loss".into(),
+                value: f64::NAN,
+            })
+        });
+        assert_eq!(calls, 1, "the stop is seen before attempt 2");
+        assert_eq!(r.outcome, CellOutcome::Skipped);
+        assert_eq!(r.attempts, 1);
     }
 }

@@ -52,7 +52,9 @@ pub enum AttackerKind {
     Random(RandomAttackConfig),
     /// DICE heuristic control (disconnect internally, connect externally).
     Dice(DiceConfig),
-    /// PEEGA's thread-parallel variant (identical output, faster clock).
+    /// PEEGA-P: all flips chosen jointly by a Gumbel-relaxed selection in
+    /// a budget-independent number of gradient steps. Its flips differ
+    /// from PEEGA's greedy ones (`ext_extensions` compares the two).
     PeegaParallel(PeegaParallelConfig),
     /// Targeted PEEGA (the Nettack setting of Table I).
     TargetedPeega(TargetedPeegaConfig),

@@ -1,11 +1,18 @@
-//! Codecs: one [`Artifact`] implementation per cached value type.
+//! Codecs of the linalg types the store caches: `DenseMatrix` (tag 1),
+//! `CsrMatrix` (tag 2), `Svd` (tag 4) and `Eigen` (tag 5).
 //!
+//! Every cached value crosses the store as its own type: a crate above
+//! this one implements [`Artifact`] on the type it owns — the trained
+//! model record in `bbgnn-gnn` (tag 3), the served job result in
+//! `bbgnn-serve` (tag 6) — so no value is copied into a mirror struct.
 //! Tags are append-only: a new codec takes the next free tag, existing
 //! tags are never reused or renumbered (a tag mismatch on read is a
 //! decode error, and [`FORMAT_VERSION`](crate::format::FORMAT_VERSION)
 //! bumps cover layout changes inside a codec).
 
 use crate::format::{Artifact, Reader, Writer};
+use bbgnn_linalg::eigen::Eigen;
+use bbgnn_linalg::svd::Svd;
 use bbgnn_linalg::{CsrMatrix, DenseMatrix};
 
 impl Artifact for DenseMatrix {
@@ -54,84 +61,8 @@ impl Artifact for CsrMatrix {
     }
 }
 
-/// Training summary persisted alongside cached model weights, mirroring
-/// `bbgnn_gnn::TrainReport` field-for-field. Declared here (rather than
-/// depending on the gnn crate) so the store stays at the bottom of the
-/// dependency graph; `bbgnn-gnn` converts both ways.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ModelReport {
-    /// Epochs actually executed by the original (cold) training run.
-    pub epochs_run: usize,
-    /// Best validation accuracy observed.
-    pub best_val_accuracy: f64,
-    /// Final training loss.
-    pub final_loss: f64,
-    /// Wall-clock seconds of the original run (a hit reports the cost it
-    /// saved, not the near-zero load time).
-    pub seconds: f64,
-    /// Divergence recoveries performed during the original run.
-    pub divergence_recoveries: usize,
-    /// Whether the original run aborted with the recovery budget spent.
-    pub diverged: bool,
-}
-
-/// A trained model: parameter matrices in layer order plus the training
-/// report of the run that produced them.
-#[derive(Clone, Debug)]
-pub struct TrainedModel {
-    /// Parameter matrices, in the exact order the model's `fit` built them.
-    pub weights: Vec<DenseMatrix>,
-    /// Report of the original training run.
-    pub report: ModelReport,
-}
-
-impl Artifact for TrainedModel {
-    const TAG: u8 = 3;
-    const KIND: &'static str = "model";
-
-    fn encode(&self, w: &mut Writer) {
-        w.usize(self.weights.len());
-        for m in &self.weights {
-            m.encode(w);
-        }
-        w.usize(self.report.epochs_run);
-        w.f64(self.report.best_val_accuracy);
-        w.f64(self.report.final_loss);
-        w.f64(self.report.seconds);
-        w.usize(self.report.divergence_recoveries);
-        w.bool(self.report.diverged);
-    }
-
-    fn decode(r: &mut Reader) -> Result<Self, String> {
-        let n = r.len_prefix(8)?;
-        let mut weights = Vec::with_capacity(n);
-        for _ in 0..n {
-            weights.push(DenseMatrix::decode(r)?);
-        }
-        let report = ModelReport {
-            epochs_run: r.usize()?,
-            best_val_accuracy: r.f64()?,
-            final_loss: r.f64()?,
-            seconds: r.f64()?,
-            divergence_recoveries: r.usize()?,
-            diverged: r.bool()?,
-        };
-        Ok(TrainedModel { weights, report })
-    }
-}
-
-/// A truncated SVD factor bundle `U Σ Vᵀ` (GCN-SVD's purification step).
-#[derive(Clone, Debug)]
-pub struct SvdFactors {
-    /// Left singular vectors, `n × k`.
-    pub u: DenseMatrix,
-    /// Singular values, descending.
-    pub sigma: Vec<f64>,
-    /// Right singular vectors, `m × k`.
-    pub v: DenseMatrix,
-}
-
-impl Artifact for SvdFactors {
+/// A truncated SVD `U Σ Vᵀ` (GCN-SVD's purification step).
+impl Artifact for Svd {
     const TAG: u8 = 4;
     const KIND: &'static str = "svd";
 
@@ -142,7 +73,7 @@ impl Artifact for SvdFactors {
     }
 
     fn decode(r: &mut Reader) -> Result<Self, String> {
-        Ok(SvdFactors {
+        Ok(Svd {
             u: DenseMatrix::decode(r)?,
             sigma: r.f64s()?,
             v: DenseMatrix::decode(r)?,
@@ -151,15 +82,7 @@ impl Artifact for SvdFactors {
 }
 
 /// A top-k eigenpair bundle (GF-Attack's spectral filter inputs).
-#[derive(Clone, Debug)]
-pub struct EigenFactors {
-    /// Eigenvalues, by Lanczos extraction order.
-    pub values: Vec<f64>,
-    /// Eigenvectors, one column per eigenvalue.
-    pub vectors: DenseMatrix,
-}
-
-impl Artifact for EigenFactors {
+impl Artifact for Eigen {
     const TAG: u8 = 5;
     const KIND: &'static str = "eigen";
 
@@ -169,7 +92,7 @@ impl Artifact for EigenFactors {
     }
 
     fn decode(r: &mut Reader) -> Result<Self, String> {
-        Ok(EigenFactors {
+        Ok(Eigen {
             values: r.f64s()?,
             vectors: DenseMatrix::decode(r)?,
         })
@@ -221,34 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn model_roundtrip_preserves_report() {
-        let model = TrainedModel {
-            weights: vec![
-                DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]),
-                DenseMatrix::from_vec(2, 1, vec![-1.0, 0.5]),
-            ],
-            report: ModelReport {
-                epochs_run: 42,
-                best_val_accuracy: 0.815,
-                final_loss: 0.33,
-                seconds: 1.25,
-                divergence_recoveries: 1,
-                diverged: false,
-            },
-        };
-        let back = roundtrip(&model);
-        assert_eq!(back.weights.len(), 2);
-        assert_eq!(back.report, model.report);
-        assert_eq!(
-            back.weights[1].as_slice(),
-            model.weights[1].as_slice(),
-            "weights must survive bitwise"
-        );
-    }
-
-    #[test]
     fn factor_bundles_roundtrip() {
-        let svd = SvdFactors {
+        let svd = Svd {
             u: DenseMatrix::from_vec(2, 1, vec![0.6, 0.8]),
             sigma: vec![3.0, 1.0],
             v: DenseMatrix::from_vec(2, 1, vec![1.0, 0.0]),
@@ -257,7 +154,7 @@ mod tests {
         assert_eq!(back.sigma, svd.sigma);
         assert_eq!(back.u.as_slice(), svd.u.as_slice());
 
-        let eig = EigenFactors {
+        let eig = Eigen {
             values: vec![2.5, -0.5],
             vectors: DenseMatrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]),
         };

@@ -14,6 +14,14 @@
 //! degrades to a miss, and a write failure degrades to a warning. No
 //! experiment result may ever depend on whether the store is present.
 //!
+//! The boundary, written once: a value crosses the store as its own type,
+//! which implements [`Artifact`] (the linalg codecs live in [`artifact`];
+//! gnn's trained model and serve's job result implement it in their own
+//! crates), and an unconditional memo is one [`cached`] call. Only a
+//! value with a publish rule — the trainer never stores an interrupted
+//! run, GF-Attack has no eigenpairs to store after a supervision stop —
+//! calls [`lookup`] and [`publish`] itself.
+//!
 //! Layering: this crate sits at the bottom of the workspace graph
 //! (depends only on `linalg` + `obs`), so every layer above — gnn,
 //! attack, defense, bench — can persist artifacts without cycles.
@@ -24,7 +32,6 @@
 pub mod artifact;
 pub mod format;
 
-pub use artifact::{EigenFactors, ModelReport, SvdFactors, TrainedModel};
 pub use format::{Artifact, FORMAT_VERSION};
 
 use bbgnn_linalg::content_hash::{fnv1a64, Fnv1a};
@@ -298,6 +305,27 @@ pub fn publish<A: Artifact>(key: &Key, value: &A) {
             eprintln!("bbgnn-store: dropping artifact {}: {e}", key.text());
         }
     }
+}
+
+/// The read-through memo: `compute()` served from the global store.
+///
+/// With no store installed this is `compute()`, and `key` is never
+/// called (a key usually content-hashes its inputs). Otherwise a hit is
+/// returned, and a miss is computed, published and returned, with the
+/// counters, recording and dropped-write warning of [`lookup`] and
+/// [`publish`]. For a value that must sometimes not be stored, call
+/// those two directly and name the rule at the call site.
+pub fn cached<A: Artifact>(key: impl FnOnce() -> Key, compute: impl FnOnce() -> A) -> A {
+    if !enabled() {
+        return compute();
+    }
+    let key = key();
+    if let Some(hit) = lookup(&key) {
+        return hit;
+    }
+    let value = compute();
+    publish(&key, &value);
+    value
 }
 
 // ---------------------------------------------------------------------------
@@ -697,6 +725,41 @@ mod tests {
         let recorded = take_recording();
         assert_eq!(recorded, vec![key.filename()], "deduplicated");
         assert!(take_recording().is_empty(), "take must stop the recording");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The only test in this binary that installs the global store.
+    #[test]
+    fn cached_computes_once_and_builds_no_key_without_a_store() {
+        let keys = std::cell::Cell::new(0);
+        let computes = std::cell::Cell::new(0);
+        let key = || {
+            keys.set(keys.get() + 1);
+            Key::new("dense/test").field("case", "cached")
+        };
+        let compute = || {
+            computes.set(computes.get() + 1);
+            DenseMatrix::from_vec(1, 2, vec![-0.0, 7.5])
+        };
+
+        shutdown();
+        let bare = cached(key, compute);
+        assert_eq!(keys.get(), 0, "no store: the key closure must not run");
+        assert_eq!(computes.get(), 1);
+
+        let root = tmp_root("cached");
+        init_to_path(&root.display().to_string()).expect("init");
+        let cold = cached(key, compute);
+        let warm = cached(key, compute);
+        shutdown();
+        assert_eq!(keys.get(), 2);
+        assert_eq!(computes.get(), 2, "the second call is a hit");
+        assert_eq!(warm.content_hash(), cold.content_hash());
+        assert_eq!(warm.content_hash(), bare.content_hash());
+        assert!(
+            root.join(key().filename()).exists(),
+            "the miss was published"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 }

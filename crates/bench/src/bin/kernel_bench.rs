@@ -3,10 +3,11 @@
 //! Times the blocked/threaded kernels against their naive references at
 //! graph-relevant sizes (Cora-shaped: `n = 2708`, `d = 1433`, and the
 //! attack cells' 298-node cora-like graph with its 7-class gradient
-//! products) and writes `BENCH_kernels.json` with GFLOP/s per kernel,
-//! shape, and thread count, plus the host it ran on (`nproc`, AVX2), so
-//! future changes have a baseline to compare against. Thread rows above
-//! the host's `nproc` are oversubscribed and say nothing about scaling.
+//! products; Pro-GNN's exact Jacobi SVD at that graph's size) and writes
+//! `BENCH_kernels.json` with GFLOP/s per kernel, shape, and thread count,
+//! plus the host it ran on (`nproc`, AVX2), so future changes have a
+//! baseline to compare against. Thread rows above the host's `nproc` are
+//! oversubscribed and say nothing about scaling.
 //!
 //! The determinism contract means every row of this file describes the
 //! *same bytes* — thread count trades wall-clock only, which is exactly
@@ -344,6 +345,36 @@ fn main() {
         || spmm_ref(&s, &x),
         |ctx| ctx.spmm(&s, &x),
     );
+
+    // --- exact Jacobi SVD at the defend graph's size ----------------------
+    // Pro-GNN's nuclear-norm prox is a full one-sided Jacobi solve of its
+    // n×n structure S, which starts as the graph's adjacency; with the
+    // default seed 7 the cora-like graph above is the defend workload's
+    // (298 nodes). Reference = the cyclic-by-rows plain loop, same bits.
+    // One solve per sample, single-threaded (one threads=1 row); the flop
+    // count depends on the sweeps a solve takes, so the row reports times
+    // and speedup only.
+    {
+        use bbgnn::linalg::svd::{jacobi_svd_ref, try_jacobi_svd};
+        let s = cora.adjacency_dense();
+        let shape = format!("{n}x{n} cora-like A");
+        let sref = &s;
+        let mut ops: Vec<Box<dyn FnMut() + '_>> = vec![
+            Box::new(move || drop(jacobi_svd_ref(sref))),
+            Box::new(move || drop(try_jacobi_svd(sref))),
+        ];
+        let secs = time_group(reps, &mut ops);
+        for (kernel, timing) in [("jacobi_svd_naive", secs[0]), ("jacobi_svd", secs[1])] {
+            rows.push(Row {
+                kernel: kernel.to_string(),
+                shape: shape.clone(),
+                threads: 1,
+                flops: 0.0,
+                timing,
+                naive: secs[0],
+            });
+        }
+    }
 
     // --- incremental rescore vs full rescore (DESIGN.md §13) --------------
     // One committed edge flip on a Cora-shaped graph: the incremental

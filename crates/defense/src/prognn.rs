@@ -14,9 +14,11 @@
 //! normalization of the dense `S` variable; the fidelity and feature-
 //! smoothness gradients are analytic — and (c) applies the proximal
 //! operators: ℓ1 soft-thresholding and singular-value shrinkage (the
-//! nuclear-norm prox, via randomized SVD), followed by projection onto the
-//! symmetric box. The repeated SVDs make Pro-GNN by far the slowest
-//! defender, exactly as Table VIII reports.
+//! nuclear-norm prox), followed by projection onto the symmetric box. With
+//! the default `svd_rank: usize::MAX` every prox takes the exact branch of
+//! [`try_singular_value_shrink`](bbgnn_linalg::svd::try_singular_value_shrink):
+//! a full one-sided Jacobi SVD of the `n × n` structure. The repeated SVDs
+//! make Pro-GNN by far the slowest defender, exactly as Table VIII reports.
 
 use crate::Defender;
 use bbgnn_autodiff::Tape;
@@ -67,9 +69,10 @@ pub struct ProGnnConfig {
     pub mu: f64,
     /// Apply the (expensive) nuclear prox every this many outer epochs.
     pub svd_every: usize,
-    /// Rank budget of the randomized SVD inside the nuclear prox (clamped
-    /// to `n`; keep it near `n` — aggressive truncation destroys the
-    /// learned structure rather than regularizing it).
+    /// Rank budget of the SVD inside the nuclear prox (clamped to `n`; a
+    /// budget of at least `3n/4` takes the exact Jacobi SVD, a smaller one
+    /// the randomized sketch; keep it near `n` — aggressive truncation
+    /// destroys the learned structure rather than regularizing it).
     pub svd_rank: usize,
     /// Training configuration (inner and final GCN fits).
     pub train: TrainConfig,
@@ -178,7 +181,6 @@ impl NodeClassifier for ProGnn {
         let a_hat = g.adjacency_dense();
         let mut s = a_hat.clone();
         let smooth_grad = Self::feature_distance_matrix(&g.features);
-        let mut last_report = None;
         // One execution context + identity constant for every outer
         // epoch's structure-gradient tape.
         let ctx = ExecContext::shared_from_env();
@@ -193,7 +195,7 @@ impl NodeClassifier for ProGnn {
             }
             // (a) Inner GCN fit on the current structure.
             let an = Rc::new(CsrMatrix::from_dense(&s, 1e-4).gcn_normalize());
-            last_report = Some(self.gcn.fit_on(g, Rc::clone(&an)));
+            self.gcn.fit_on(g, Rc::clone(&an));
 
             // (b) Gradient step on the differentiable terms.
             let mut grad = self.gnn_loss_grad(&s, g, &ctx, &eye).scale(cfg.gamma);
@@ -237,7 +239,6 @@ impl NodeClassifier for ProGnn {
         let mut final_gcn = Gcn::paper_default(cfg.train.clone());
         let report = final_gcn.fit_on(g, an);
         self.gcn = final_gcn;
-        let _ = last_report;
         report
     }
 

@@ -102,8 +102,10 @@ fn maybe_injected_worker_panic() {
 /// Workers are spawned per parallel region with `std::thread::scope`, which
 /// keeps the pool dependency-free and lifetime-safe (no `unsafe`, no
 /// channels): borrowed inputs flow into worker closures directly. Spawn
-/// cost is a few microseconds per region, negligible against the
-/// megaflop-scale regions gated by the work thresholds.
+/// cost is tens of microseconds per region — 54–65 µs for a two-worker
+/// region, measured on a 2-core x86-64 host — so the work thresholds gate
+/// every region, and a product just above them (about a megaflop) still
+/// pays a visible share of its time to the spawn.
 ///
 /// Pool regions are *accounting* sites for the supervision layer
 /// (fault injection, workspace memory high-water marks), not stop sites:
@@ -877,6 +879,206 @@ pub fn spmm_t_into(s: &CsrMatrix, b: &DenseMatrix, out: &mut DenseMatrix) {
                 *o += v * bv;
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One-sided Jacobi pair kernel.
+// ---------------------------------------------------------------------------
+
+/// Column pairs one AVX2 lane group of [`jacobi_gram`] carries: two
+/// 4-lane vectors per Gram sum.
+pub const JACOBI_LANES: usize = 8;
+
+/// Gram sums `[app, aqq, apq]` of the column pairs `(p0 + i, q0 − i)`,
+/// `i < out.len()`, of a one-sided Jacobi work matrix stored column-major:
+/// row `j` of `wt` is column `j` of the work matrix.
+///
+/// Every sum adds its products `x·y` one at a time in ascending row order
+/// from `+0.0`, with no FMA, so each pair's sums are bitwise the plain
+/// loop's whatever the path. With AVX2 the pairs ride one per lane, eight
+/// at a time while eight remain, then four; their rows enter the lanes
+/// four values at a time through 4×4 in-register transposes. The rest,
+/// and every pair on a host without AVX2, run through the scalar loop one
+/// pair at a time.
+///
+/// # Panics
+/// Panics if a row of a pair is outside `wt`.
+pub fn jacobi_gram(wt: &DenseMatrix, p0: usize, q0: usize, out: &mut [[f64; 3]]) {
+    #[cfg(target_arch = "x86_64")]
+    let done = if std::arch::is_x86_feature_detected!("avx2") {
+        gram_groups_avx2(wt, p0, q0, out)
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for (i, sums) in out.iter_mut().enumerate().skip(done) {
+        *sums = gram_pair(wt.row(p0 + i), wt.row(q0 - i));
+    }
+}
+
+/// The AVX2 part of [`jacobi_gram`], on a host with AVX2: eight-pair
+/// groups while eight pairs remain, then one four-pair group if four do.
+/// Returns how many pairs it filled.
+#[cfg(target_arch = "x86_64")]
+fn gram_groups_avx2(wt: &DenseMatrix, p0: usize, q0: usize, out: &mut [[f64; 3]]) -> usize {
+    let mut done = 0;
+    while out.len() - done >= 4 {
+        let (p, q) = (p0 + done, q0 - done);
+        if out.len() - done >= JACOBI_LANES {
+            let rows = lane_rows::<2>(wt, p, q);
+            // SAFETY: the only caller checked AVX2 support, which
+            // discharges the `#[target_feature]` obligation; the callee's
+            // loads are bounds-checked slices of `rows`.
+            unsafe { gram_lanes_avx2(rows, &mut out[done..done + JACOBI_LANES]) };
+            done += JACOBI_LANES;
+        } else {
+            let rows = lane_rows::<1>(wt, p, q);
+            // SAFETY: as above.
+            unsafe { gram_lanes_avx2(rows, &mut out[done..done + 4]) };
+            done += 4;
+        }
+    }
+    done
+}
+
+/// The rows of `4·V` pairs starting at `(p, q)`: `[0][v][l]` is row
+/// `p + 4v + l`, `[1][v][l]` is row `q − 4v − l`.
+#[cfg(target_arch = "x86_64")]
+fn lane_rows<const V: usize>(wt: &DenseMatrix, p: usize, q: usize) -> [[[&[f64]; 4]; V]; 2] {
+    let mut rows = [[[&[][..]; 4]; V]; 2];
+    for i in 0..4 * V {
+        let (v, l) = (i / 4, i % 4);
+        [rows[0][v][l], rows[1][v][l]] = [wt.row(p + i), wt.row(q - i)];
+    }
+    rows
+}
+
+/// One pair's Gram sums: the scalar lane.
+fn gram_pair(rp: &[f64], rq: &[f64]) -> [f64; 3] {
+    let (mut app, mut aqq, mut apq) = (0.0, 0.0, 0.0);
+    for (&x, &y) in rp.iter().zip(rq) {
+        app += x * x;
+        aqq += y * y;
+        apq += x * y;
+    }
+    [app, aqq, apq]
+}
+
+/// Gram sums of `4·V` pairs, pair `4v + l` in lane `l` of vector `v`
+/// (see [`lane_rows`]), written to `out[4v + l]`. Per lane the adds run in
+/// ascending row order from `+0.0`, exactly as [`gram_pair`]'s.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: `unsafe` only because of `#[target_feature]`; the caller checks
+// AVX2 support. Every load reads a bounds-checked four-value subslice of
+// a row (`&row[k..k + 4]`), every store a four-value local array, and
+// `out` is indexed with bounds checks, so no access leaves its slice.
+unsafe fn gram_lanes_avx2<const V: usize>(rows: [[[&[f64]; 4]; V]; 2], out: &mut [[f64; 3]]) {
+    use std::arch::x86_64::*;
+    let [p, q] = rows;
+    let m = p[0][0].len();
+    let zero = _mm256_setzero_pd();
+    let (mut app, mut aqq, mut apq) = ([zero; V], [zero; V], [zero; V]);
+    let mut k = 0;
+    while k + 4 <= m {
+        for v in 0..V {
+            // Transpose the 4×4 blocks: `x[t]` holds row value `k + t` of
+            // the four `p` rows, one per lane; `y[t]` of the `q` rows.
+            let mut x = [zero; 4];
+            let mut y = [zero; 4];
+            for (block, r) in [(&mut x, &p[v]), (&mut y, &q[v])] {
+                let r0 = _mm256_loadu_pd(r[0][k..k + 4].as_ptr());
+                let r1 = _mm256_loadu_pd(r[1][k..k + 4].as_ptr());
+                let r2 = _mm256_loadu_pd(r[2][k..k + 4].as_ptr());
+                let r3 = _mm256_loadu_pd(r[3][k..k + 4].as_ptr());
+                let lo01 = _mm256_unpacklo_pd(r0, r1);
+                let hi01 = _mm256_unpackhi_pd(r0, r1);
+                let lo23 = _mm256_unpacklo_pd(r2, r3);
+                let hi23 = _mm256_unpackhi_pd(r2, r3);
+                block[0] = _mm256_permute2f128_pd(lo01, lo23, 0x20);
+                block[1] = _mm256_permute2f128_pd(hi01, hi23, 0x20);
+                block[2] = _mm256_permute2f128_pd(lo01, lo23, 0x31);
+                block[3] = _mm256_permute2f128_pd(hi01, hi23, 0x31);
+            }
+            for t in 0..4 {
+                app[v] = _mm256_add_pd(app[v], _mm256_mul_pd(x[t], x[t]));
+                aqq[v] = _mm256_add_pd(aqq[v], _mm256_mul_pd(y[t], y[t]));
+                apq[v] = _mm256_add_pd(apq[v], _mm256_mul_pd(x[t], y[t]));
+            }
+        }
+        k += 4;
+    }
+    while k < m {
+        for v in 0..V {
+            let (r, s) = (&p[v], &q[v]);
+            let x = _mm256_set_pd(r[3][k], r[2][k], r[1][k], r[0][k]);
+            let y = _mm256_set_pd(s[3][k], s[2][k], s[1][k], s[0][k]);
+            app[v] = _mm256_add_pd(app[v], _mm256_mul_pd(x, x));
+            aqq[v] = _mm256_add_pd(aqq[v], _mm256_mul_pd(y, y));
+            apq[v] = _mm256_add_pd(apq[v], _mm256_mul_pd(x, y));
+        }
+        k += 1;
+    }
+    for v in 0..V {
+        let mut lanes = [[0.0f64; 4]; 3];
+        _mm256_storeu_pd(lanes[0].as_mut_ptr(), app[v]);
+        _mm256_storeu_pd(lanes[1].as_mut_ptr(), aqq[v]);
+        _mm256_storeu_pd(lanes[2].as_mut_ptr(), apq[v]);
+        for l in 0..4 {
+            out[4 * v + l] = [lanes[0][l], lanes[1][l], lanes[2][l]];
+        }
+    }
+}
+
+/// Applies the Givens rotation `[c −s; s c]` to rows `p < q` of `m`, the
+/// columns `p` and `q` of a one-sided Jacobi work matrix:
+/// `(x, y) ← (c·x − s·y, s·x + c·y)` elementwise. On x86-64 with AVX2 the
+/// same source runs with AVX2 codegen, dispatched at runtime: wider
+/// vectors across elements, no FMA, the same bits.
+///
+/// # Panics
+/// Panics unless `p < q < m.rows()`.
+pub fn rotate_rows(m: &mut DenseMatrix, p: usize, q: usize, c: f64, s: f64) {
+    let cols = m.cols();
+    let (head, tail) = m.as_mut_slice().split_at_mut(q * cols);
+    let (lo, hi) = (&mut head[p * cols..(p + 1) * cols], &mut tail[..cols]);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just checked; the callee body is
+            // the safe `rotate`, so AVX2 codegen only widens the lanes it
+            // uses across elements, and rustc never contracts mul+add
+            // into FMA.
+            unsafe { rotate_avx2(lo, hi, c, s) };
+            return;
+        }
+    }
+    rotate(lo, hi, c, s);
+}
+
+/// [`rotate`] compiled with AVX2 codegen, dispatched by [`rotate_rows`].
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: `unsafe` only because of `#[target_feature]` — the body is the
+// safe, slice-indexed `rotate`; the caller checks AVX2 support.
+unsafe fn rotate_avx2(lo: &mut [f64], hi: &mut [f64], c: f64, s: f64) {
+    rotate(lo, hi, c, s);
+}
+
+#[inline(always)]
+fn rotate(lo: &mut [f64], hi: &mut [f64], c: f64, s: f64) {
+    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+        let (x, y) = (*a, *b);
+        *a = c * x - s * y;
+        *b = s * x + c * y;
     }
 }
 

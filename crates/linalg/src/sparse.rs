@@ -150,7 +150,7 @@ impl CsrMatrix {
         col_idx: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self, String> {
-        if row_ptr.len() != rows + 1 || row_ptr.first() != Some(&0) {
+        if rows.checked_add(1) != Some(row_ptr.len()) || row_ptr.first() != Some(&0) {
             return Err(format!("row_ptr length {} != rows+1", row_ptr.len()));
         }
         if row_ptr.last() != Some(&col_idx.len()) || col_idx.len() != values.len() {

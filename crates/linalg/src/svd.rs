@@ -3,12 +3,17 @@
 //! Two algorithms are provided:
 //!
 //! * [`jacobi_svd`] — exact one-sided Jacobi SVD. Cubic cost but very
-//!   robust; used on small/medium matrices and as the inner solver of the
-//!   randomized method.
+//!   robust; used on small/medium matrices, as the inner solver of the
+//!   randomized method, and by Pro-GNN's nuclear-norm proximal step, whose
+//!   default full rank budget takes the exact branch of
+//!   [`try_singular_value_shrink`]. Its sweep runs the column pairs by
+//!   anti-diagonal through the vector-lane pair kernel; [`jacobi_svd_ref`]
+//!   is the cyclic plain-loop reference it matches bit for bit.
 //! * [`randomized_svd`] — Halko-Martinsson-Tropp randomized truncated SVD
-//!   with power iterations. Used by the GCN-SVD defense and Pro-GNN's
-//!   nuclear-norm proximal step, where only a rank-`k` approximation is
-//!   needed.
+//!   with power iterations. Used by the GCN-SVD defense, and by
+//!   [`try_singular_value_shrink`] under a rank budget below three
+//!   quarters of the smaller dimension, where only a rank-`k`
+//!   approximation is needed.
 //!
 //! Every solver has a fallible `try_*` form returning
 //! [`BbgnnResult`](bbgnn_errors::BbgnnResult): non-finite input is rejected
@@ -21,6 +26,7 @@
 //! panicking names are kept as thin wrappers for callers that cannot
 //! recover anyway.
 
+use crate::kernels;
 use crate::qr::thin_qr;
 use crate::DenseMatrix;
 use bbgnn_errors::{first_non_finite, BbgnnError, BbgnnResult};
@@ -82,6 +88,14 @@ pub(crate) fn check_finite_input(a: &DenseMatrix, method: &str) -> BbgnnResult<(
     Ok(())
 }
 
+/// Relative orthogonality threshold of the Jacobi sweeps: a pair whose
+/// Gram entry is below `EPS · √(app·aqq)` is not rotated, and a sweep
+/// whose worst pair is below it ends the solve.
+const EPS: f64 = 1e-12;
+
+/// Sweep budget of the Jacobi solvers.
+const MAX_SWEEPS: usize = 60;
+
 /// Exact one-sided Jacobi SVD of `a` (m×n, any shape), with runtime
 /// convergence checking.
 ///
@@ -91,12 +105,45 @@ pub(crate) fn check_finite_input(a: &DenseMatrix, method: &str) -> BbgnnResult<(
 /// [`BbgnnError::ConvergenceFailure`] if any column pair is still
 /// non-orthogonal after the sweep budget, and
 /// [`BbgnnError::NumericalDivergence`] on non-finite input.
+///
+/// Each sweep visits the pairs by anti-diagonal `τ = p + q`, `τ = 1 ..=
+/// 2n − 3`, with `p` ascending. The pairs of one anti-diagonal share no
+/// column, and every pair that shares a column with `(p, q)` and precedes
+/// it in the cyclic-by-rows order of [`jacobi_svd_ref`] lies on an
+/// earlier anti-diagonal, so every pair sees the same two columns and
+/// computes the same rotation as there; the convergence measure is a
+/// maximum, which no order changes. `U`, `Σ` and `V` are therefore bitwise
+/// those of [`jacobi_svd_ref`]. The anti-diagonal's pairs run through
+/// [`kernels::jacobi_gram`] up to [`kernels::JACOBI_LANES`] at a time, each
+/// group's rotations right after its Gram sums. Timed as the
+/// `kernel/jacobi_svd` kernel.
 pub fn try_jacobi_svd(a: &DenseMatrix) -> BbgnnResult<Svd> {
+    let _t = bbgnn_obs::kernel_timer("kernel/jacobi_svd");
+    jacobi(a, wavefront_sweep)
+}
+
+/// The cyclic-by-rows one-sided Jacobi SVD — pairs `(p, q)` in row-major
+/// order, plain loops — that [`try_jacobi_svd`] must match bit for bit.
+/// Kept for the parity tests and the kernel microbenchmark, as
+/// [`kernels::matmul_ref`] is for matmul.
+pub fn jacobi_svd_ref(a: &DenseMatrix) -> BbgnnResult<Svd> {
+    jacobi(a, cyclic_sweep)
+}
+
+/// One sweep over every column pair of `wt` (row `j` = column `j` of the
+/// work matrix), rotating `vt`'s rows alongside; returns the sweep's worst
+/// relative off-diagonal magnitude. `floor` is the numerically-zero
+/// column norm².
+type Sweep = fn(&mut DenseMatrix, &mut DenseMatrix, f64) -> f64;
+
+/// The solver both sweep orders share: input check, shape handling, sweep
+/// loop and the extraction of `U`, `Σ`, `V`.
+fn jacobi(a: &DenseMatrix, sweep: Sweep) -> BbgnnResult<Svd> {
     check_finite_input(a, "jacobi_svd")?;
     let (m, n) = a.shape();
     if m < n {
         // Work on the transpose and swap U/V.
-        let svd = try_jacobi_svd(&a.transpose())?;
+        let svd = jacobi(&a.transpose(), sweep)?;
         return Ok(Svd {
             u: svd.v,
             sigma: svd.sigma,
@@ -106,8 +153,7 @@ pub fn try_jacobi_svd(a: &DenseMatrix) -> BbgnnResult<Svd> {
     // Column-major working copy: row j of `wt` is column j of the work matrix.
     let mut wt = a.transpose(); // n × m
     let mut vt = DenseMatrix::identity(n); // row j = column j of V
-    let eps = 1e-12;
-    let max_sweeps = 60;
+
     // Givens rotations preserve the Frobenius norm, so this is a loop
     // invariant. Columns whose norm² falls below `floor` are numerically
     // zero (singular value ≤ eps·‖A‖_F); their dot products are rounding
@@ -116,49 +162,17 @@ pub fn try_jacobi_svd(a: &DenseMatrix) -> BbgnnResult<Svd> {
     // residuals on rank-deficient input (e.g. nuclear-norm-shrunk
     // matrices from Pro-GNN).
     let fro2: f64 = wt.as_slice().iter().map(|v| v * v).sum();
-    let floor = eps * eps * fro2;
+    let floor = EPS * EPS * fro2;
     let mut converged = n < 2;
     let mut last_off = 0.0_f64;
-    for _sweep in 0..max_sweeps {
+    for _sweep in 0..MAX_SWEEPS {
         // Cooperative stop site (DESIGN.md §11): a sweep boundary is safe
         // because no sweep has been partially applied here.
         bbgnn_supervise::check("jacobi_svd/sweep")?;
         // Relative off-diagonal magnitude of the worst column pair; a clean
         // sweep (no rotation above the threshold) means convergence.
-        let mut off = 0.0_f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let (app, aqq, apq) = {
-                    let rp = wt.row(p);
-                    let rq = wt.row(q);
-                    let mut app = 0.0;
-                    let mut aqq = 0.0;
-                    let mut apq = 0.0;
-                    for k in 0..m {
-                        app += rp[k] * rp[k];
-                        aqq += rq[k] * rq[k];
-                        apq += rp[k] * rq[k];
-                    }
-                    (app, aqq, apq)
-                };
-                if apq == 0.0 || app <= floor || aqq <= floor {
-                    continue;
-                }
-                if apq.abs() <= eps * (app * aqq).sqrt() {
-                    continue;
-                }
-                off = off.max(apq.abs() / (app * aqq).sqrt().max(1e-300));
-                // Jacobi rotation zeroing the (p,q) Gram entry.
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                rotate_rows(&mut wt, p, q, c, s);
-                rotate_rows(&mut vt, p, q, c, s);
-            }
-        }
-        last_off = off;
-        if off <= eps {
+        last_off = sweep(&mut wt, &mut vt, floor);
+        if last_off <= EPS {
             converged = true;
             break;
         }
@@ -166,7 +180,7 @@ pub fn try_jacobi_svd(a: &DenseMatrix) -> BbgnnResult<Svd> {
     if !converged {
         return Err(BbgnnError::ConvergenceFailure {
             method: "jacobi_svd".to_string(),
-            iters: max_sweeps,
+            iters: MAX_SWEEPS,
             residual: last_off,
         });
     }
@@ -195,6 +209,78 @@ pub fn try_jacobi_svd(a: &DenseMatrix) -> BbgnnResult<Svd> {
     Ok(Svd { u, sigma, v })
 }
 
+/// The rotation `(c, s)` that zeroes the Gram entry `apq` of a column pair
+/// with squared norms `app`, `aqq`, or `None` when a column is numerically
+/// zero or the pair is already orthogonal. A rotated pair raises `off` to
+/// its relative off-diagonal magnitude.
+#[inline]
+fn rotation(app: f64, aqq: f64, apq: f64, floor: f64, off: &mut f64) -> Option<(f64, f64)> {
+    if apq == 0.0 || app <= floor || aqq <= floor {
+        return None;
+    }
+    if apq.abs() <= EPS * (app * aqq).sqrt() {
+        return None;
+    }
+    *off = off.max(apq.abs() / (app * aqq).sqrt().max(1e-300));
+    let tau = (aqq - app) / (2.0 * apq);
+    let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    Some((c, c * t))
+}
+
+/// [`try_jacobi_svd`]'s sweep: anti-diagonals `τ = p + q` in ascending
+/// order, each in groups of up to [`kernels::JACOBI_LANES`] pairs.
+fn wavefront_sweep(wt: &mut DenseMatrix, vt: &mut DenseMatrix, floor: f64) -> f64 {
+    let n = wt.rows();
+    let mut off = 0.0_f64;
+    let mut sums = [[0.0; 3]; kernels::JACOBI_LANES];
+    for tau in 1..(2 * n).saturating_sub(2) {
+        // Pairs (p, τ − p) with p < τ − p ≤ n − 1.
+        let end = tau.div_ceil(2);
+        let mut p = tau.saturating_sub(n - 1);
+        while p < end {
+            let group = &mut sums[..(end - p).min(kernels::JACOBI_LANES)];
+            kernels::jacobi_gram(wt, p, tau - p, group);
+            for (i, &[app, aqq, apq]) in group.iter().enumerate() {
+                if let Some((c, s)) = rotation(app, aqq, apq, floor, &mut off) {
+                    kernels::rotate_rows(wt, p + i, tau - p - i, c, s);
+                    kernels::rotate_rows(vt, p + i, tau - p - i, c, s);
+                }
+            }
+            p += group.len();
+        }
+    }
+    off
+}
+
+/// [`jacobi_svd_ref`]'s sweep: pairs `(p, q)` in row-major order.
+fn cyclic_sweep(wt: &mut DenseMatrix, vt: &mut DenseMatrix, floor: f64) -> f64 {
+    let (n, m) = wt.shape();
+    let mut off = 0.0_f64;
+    for p in 0..n {
+        for q in (p + 1)..n {
+            let (app, aqq, apq) = {
+                let rp = wt.row(p);
+                let rq = wt.row(q);
+                let mut app = 0.0;
+                let mut aqq = 0.0;
+                let mut apq = 0.0;
+                for k in 0..m {
+                    app += rp[k] * rp[k];
+                    aqq += rq[k] * rq[k];
+                    apq += rp[k] * rq[k];
+                }
+                (app, aqq, apq)
+            };
+            if let Some((c, s)) = rotation(app, aqq, apq, floor, &mut off) {
+                rotate_rows_ref(wt, p, q, c, s);
+                rotate_rows_ref(vt, p, q, c, s);
+            }
+        }
+    }
+    off
+}
+
 /// Infallible façade over [`try_jacobi_svd`].
 ///
 /// # Panics
@@ -205,17 +291,13 @@ pub fn jacobi_svd(a: &DenseMatrix) -> Svd {
     try_jacobi_svd(a).unwrap_or_else(|e| panic!("jacobi_svd: {e}"))
 }
 
-/// Applies the Givens rotation `[c -s; s c]` to rows `p`, `q` of `m`
-/// (interpreted as columns of the untransposed matrix).
-fn rotate_rows(m: &mut DenseMatrix, p: usize, q: usize, c: f64, s: f64) {
+/// The reference sweep's plain-loop Givens rotation `[c -s; s c]` of rows
+/// `p < q` of `m` (columns of the untransposed matrix).
+fn rotate_rows_ref(m: &mut DenseMatrix, p: usize, q: usize, c: f64, s: f64) {
     let cols = m.cols();
-    let data = m.as_mut_slice();
-    let (lo, hi) = if p < q { (p, q) } else { (q, p) };
-    let (left, right) = data.split_at_mut(hi * cols);
-    let row_lo = &mut left[lo * cols..(lo + 1) * cols];
+    let (left, right) = m.as_mut_slice().split_at_mut(q * cols);
+    let row_lo = &mut left[p * cols..(p + 1) * cols];
     let row_hi = &mut right[..cols];
-    // Note: rotation is defined on (p, q) order; swap sign if reordered.
-    let (c, s) = if p < q { (c, s) } else { (c, -s) };
     for k in 0..cols {
         let a = row_lo[k];
         let b = row_hi[k];

@@ -29,7 +29,10 @@ impl Artifact for DenseMatrix {
         let rows = r.usize()?;
         let cols = r.usize()?;
         let data = r.f64s()?;
-        if data.len() != rows * cols {
+        let len = rows
+            .checked_mul(cols)
+            .ok_or_else(|| format!("dense shape {rows}x{cols} overflows usize"))?;
+        if data.len() != len {
             return Err(format!(
                 "dense payload has {} entries for a {rows}x{cols} matrix",
                 data.len()

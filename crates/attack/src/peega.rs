@@ -74,10 +74,6 @@ pub struct PeegaConfig {
     pub attacker_nodes: AttackerNodes,
     /// Nodes the objective sums over (Sec. V-A3).
     pub objective_nodes: ObjectiveNodes,
-    /// Worker threads for the surrogate-gradient kernels and the candidate
-    /// scans (`0` = defer to `BBGNN_THREADS` / available parallelism). The
-    /// result is bitwise-identical for every value.
-    pub threads: usize,
 }
 
 impl Default for PeegaConfig {
@@ -91,7 +87,6 @@ impl Default for PeegaConfig {
             space: AttackSpace::Both,
             attacker_nodes: AttackerNodes::All,
             objective_nodes: ObjectiveNodes::Train,
-            threads: 0,
         }
     }
 }
@@ -261,7 +256,7 @@ impl Attacker for Peega {
         // tape shares the thread pool and recycles its tensor buffers
         // through the same workspace arena, and the candidate scans fan
         // out over the same pool.
-        let ctx = Rc::new(ExecContext::with_threads(cfg.threads));
+        let ctx = ExecContext::shared_from_env();
 
         let mut truncated = false;
         loop {
@@ -568,15 +563,16 @@ mod tests {
 
     /// The determinism contract: the poisoned graph is bitwise-identical
     /// for every worker count — the parallel candidate scans and the
-    /// threaded tape kernels reproduce the sequential result exactly.
+    /// threaded tape kernels reproduce the sequential result exactly. The
+    /// width is pinned the way a job pins it: through the entered scope.
     #[test]
     fn thread_count_does_not_change_result() {
         let g = small_graph();
         let run = |threads: usize| {
-            let mut atk = Peega::new(PeegaConfig {
-                threads,
-                ..Default::default()
-            });
+            let scope = bbgnn_supervise::SupervisionScope::new();
+            scope.set_threads(threads);
+            let _width = bbgnn_supervise::enter(&scope);
+            let mut atk = Peega::new(PeegaConfig::default());
             atk.attack(&g)
         };
         let r1 = run(1);

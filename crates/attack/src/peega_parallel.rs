@@ -56,10 +56,6 @@ pub struct PeegaParallelConfig {
     pub objective_nodes: ObjectiveNodes,
     /// Seed for the Gumbel noise.
     pub seed: u64,
-    /// Worker threads for the ascent kernels and the flip-scoring scan
-    /// (`0` = defer to `BBGNN_THREADS` / available parallelism). The
-    /// committed flips are bitwise-identical for every value.
-    pub threads: usize,
 }
 
 impl Default for PeegaParallelConfig {
@@ -76,7 +72,6 @@ impl Default for PeegaParallelConfig {
             attacker_nodes: AttackerNodes::All,
             objective_nodes: ObjectiveNodes::Train,
             seed: 0,
-            threads: 0,
         }
     }
 }
@@ -190,7 +185,7 @@ impl Attacker for PeegaParallel {
 
         // One execution context shared by every ascent step's tape (kernel
         // threads + workspace reuse) and by the flip-scoring scan below.
-        let ctx = Rc::new(ExecContext::with_threads(cfg.threads));
+        let ctx = ExecContext::shared_from_env();
 
         let mut truncated = false;
         for _step in 0..cfg.steps {
@@ -440,13 +435,16 @@ mod tests {
 
     /// The determinism contract: PEEGA-P's pooled flip scoring and threaded
     /// ascent kernels commit bitwise-identical flips for every worker count.
+    /// The width is pinned through the entered scope, as a job pins it.
     #[test]
     fn thread_count_does_not_change_result() {
         let g = DatasetSpec::CoraLike.generate(0.05, 175);
         let run = |threads: usize| {
+            let scope = bbgnn_supervise::SupervisionScope::new();
+            scope.set_threads(threads);
+            let _width = bbgnn_supervise::enter(&scope);
             let mut atk = PeegaParallel::new(PeegaParallelConfig {
                 steps: 10,
-                threads,
                 ..Default::default()
             });
             let p = atk.attack(&g).poisoned;

@@ -121,7 +121,8 @@ impl Drop for Tape {
 
 impl Tape {
     /// Creates an empty tape with a fresh [`ExecContext`] (thread count
-    /// from `BBGNN_THREADS`). Loops building many tapes should share one
+    /// from `kernels::current_threads`: the entered job's width, else
+    /// `BBGNN_THREADS`). Loops building many tapes should share one
     /// context via [`Tape::with_context`] to get cross-tape buffer reuse.
     pub fn new() -> Self {
         Self::with_context(Rc::new(ExecContext::from_env()))

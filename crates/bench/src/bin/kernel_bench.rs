@@ -3,7 +3,8 @@
 //! Times the blocked/threaded kernels against their naive references at
 //! graph-relevant sizes (Cora-shaped: `n = 2708`, `d = 1433`, and the
 //! attack cells' 298-node cora-like graph with its 7-class gradient
-//! products; Pro-GNN's exact Jacobi SVD at that graph's size) and writes
+//! products; Pro-GNN's exact Jacobi SVD at that graph's size; the start-up
+//! and join cost of one two-band pool region) and writes
 //! `BENCH_kernels.json` with GFLOP/s per kernel, shape, and thread count,
 //! plus the host it ran on (`nproc`, AVX2), so future changes have a
 //! baseline to compare against. Thread rows above the host's `nproc` are
@@ -184,6 +185,25 @@ fn time_kernel(
     for (ctx, &timing) in ctxs.iter().zip(&secs[1..]) {
         rows.push(row(kernel.to_string(), ctx.threads(), timing));
     }
+}
+
+/// The reference for the `pool_region` row: a region that spawns one
+/// scoped thread per `row_len`-wide band of `out` and joins them all,
+/// leaving the calling thread idle.
+fn naive_region(out: &mut [f64], row_len: usize, body: impl Fn(usize, &mut [f64]) + Sync) {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = out
+            .chunks_mut(row_len)
+            .enumerate()
+            .map(|(row, band)| {
+                let body = &body;
+                scope.spawn(move || body(row, band))
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("a naive_region band panicked");
+        }
+    });
 }
 
 /// Whether the kernels' AVX2 dispatch is taken on this host.
@@ -408,7 +428,6 @@ fn main() {
         let xg = DenseMatrix::uniform(CORA_N, CORA_D, 1.0, 5);
         let mut icfg = IncrConfig::new(hops);
         icfg.resync_stride = 0; // time pure updates, no periodic resync
-        icfg.threads = 1;
         let mut engine = IncrProp::from_edges(CORA_N, &edges, xg.clone(), &icfg);
         let mut mirror = IncrNorm::from_edges(CORA_N, &edges);
         let nnz = mirror.normalized_csr().nnz();
@@ -448,6 +467,47 @@ fn main() {
             timing: secs[1],
             naive: secs[0],
         });
+    }
+
+    // --- pool region cost --------------------------------------------------
+    // One two-band region of trivial work through the pool, against the
+    // floor of its design: one raw scoped thread per band, the caller
+    // waiting in `join` (`naive_region`). What is timed is the region's
+    // start-up and join, the cost every threaded product above
+    // `PAR_MIN_FLOPS` pays once; a cheaper pool shows as a speedup.
+    // Thread start-up latency swings with the host's load, so the row
+    // takes many short samples — `REGIONS` regions each, a few
+    // milliseconds — and a burst of load hits both variants alike. No
+    // flops, so the row reports times and speedup only.
+    {
+        const REGIONS: usize = 50;
+        const ROUNDS: usize = 101;
+        let band = |first_row: usize, band: &mut [f64]| band.fill(first_row as f64);
+        let pool = ThreadPool::new(2);
+        let (mut pooled, mut naive) = (vec![0.0; 16], vec![0.0; 16]);
+        let mut ops: Vec<Box<dyn FnMut() + '_>> = vec![
+            Box::new(|| {
+                for _ in 0..REGIONS {
+                    naive_region(&mut naive, 8, band);
+                }
+            }),
+            Box::new(|| {
+                for _ in 0..REGIONS {
+                    pool.for_each_row_band(&mut pooled, 8, true, band);
+                }
+            }),
+        ];
+        let secs = time_group(ROUNDS.max(reps), &mut ops);
+        for (kernel, timing) in [("pool_region_naive", secs[0]), ("pool_region", secs[1])] {
+            rows.push(Row {
+                kernel: kernel.to_string(),
+                shape: format!("2 bands x8, {REGIONS} regions"),
+                threads: 2,
+                flops: 0.0,
+                timing,
+                naive: secs[0],
+            });
+        }
     }
 
     // --- report ------------------------------------------------------------

@@ -18,13 +18,23 @@
 //!
 //! ## Choosing a thread count
 //!
-//! * Most code paths read the `BBGNN_THREADS` environment variable once
-//!   per process ([`env_threads`]), defaulting to the machine's available
-//!   parallelism.
-//! * Configs with a `threads: usize` field (`PeegaConfig`,
-//!   `PeegaParallelConfig`, the bench harness) treat `0` as "defer to
-//!   `BBGNN_THREADS`" and any other value as an explicit pin —
-//!   [`ExecContext::with_threads`] implements that convention.
+//! A kernel width has one source, [`current_threads`]: every default
+//! context ([`ExecContext::from_env`], [`ThreadPool::default`]) reads it.
+//!
+//! * Inside a job it is the thread count of the `ExecContext` handed to
+//!   `Job::run`, recorded in the job's supervision scope; pool workers
+//!   re-enter that scope, so they read it too. `bbgnn-serve` builds that
+//!   context per job at the spec's `threads` capped at the process count,
+//!   or at the process count divided by `--workers` for `threads: 0`.
+//! * Outside a job it is the `BBGNN_THREADS` environment variable, read
+//!   once per process ([`env_threads`]), defaulting to the machine's
+//!   available parallelism. The CLI binaries pass exactly that to
+//!   `Job::run`. A `threads: 0` field (`InfraFlags`, `JobSpec`) means
+//!   "the default"; any other value is an explicit request.
+//!
+//! To pin a width for a piece of work outside a job (the
+//! thread-invariance tests do), enter a `SupervisionScope` whose
+//! `set_threads` recorded it.
 
-pub use bbgnn_linalg::kernels::{default_threads, env_threads};
+pub use bbgnn_linalg::kernels::{current_threads, default_threads, env_threads};
 pub use bbgnn_linalg::{ExecContext, ThreadPool, Workspace};

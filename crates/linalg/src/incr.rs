@@ -76,10 +76,6 @@ pub struct IncrConfig {
     /// assert bitwise equality. O(L·nnz·d) per flip — debugging and the
     /// equivalence test-suite only.
     pub shadow: bool,
-    /// Worker threads for full recomputes/resyncs (`0` = `BBGNN_THREADS`
-    /// / available parallelism). Bitwise-irrelevant by the kernel
-    /// determinism contract; wall-clock only.
-    pub threads: usize,
 }
 
 impl IncrConfig {
@@ -89,7 +85,6 @@ impl IncrConfig {
             hops,
             resync_stride: DEFAULT_RESYNC_STRIDE,
             shadow: false,
-            threads: 0,
         }
     }
 }
@@ -299,7 +294,6 @@ pub struct IncrProp {
     hops: usize,
     resync_stride: usize,
     shadow: bool,
-    threads: usize,
     step: usize,
     since_resync: usize,
     last_rows_touched: usize,
@@ -326,7 +320,7 @@ impl IncrProp {
 
     fn build(norm: IncrNorm, x: DenseMatrix, cfg: &IncrConfig) -> Self {
         assert_eq!(norm.num_nodes(), x.rows(), "feature/adjacency row mismatch");
-        let h = Self::full_chain(&norm, &x, cfg.hops, cfg.threads);
+        let h = Self::full_chain(&norm, &x, cfg.hops);
         Self {
             norm,
             x,
@@ -334,7 +328,6 @@ impl IncrProp {
             hops: cfg.hops,
             resync_stride: cfg.resync_stride,
             shadow: cfg.shadow,
-            threads: cfg.threads,
             step: 0,
             since_resync: 0,
             last_rows_touched: 0,
@@ -343,20 +336,12 @@ impl IncrProp {
     }
 
     /// Full propagation chain `Â_n X, Â_n² X, …, Â_n^hops X` through the
-    /// threaded SpMM — the same kernel path as `Graph::propagate`, so the
-    /// result is bitwise identical to the dense rescore baseline.
-    fn full_chain(
-        norm: &IncrNorm,
-        x: &DenseMatrix,
-        hops: usize,
-        threads: usize,
-    ) -> Vec<DenseMatrix> {
+    /// threaded SpMM at the caller's kernel width — the same kernel path as
+    /// `Graph::propagate`, so the result is bitwise identical to the dense
+    /// rescore baseline.
+    fn full_chain(norm: &IncrNorm, x: &DenseMatrix, hops: usize) -> Vec<DenseMatrix> {
         let an = norm.normalized_csr();
-        let pool = if threads == 0 {
-            ThreadPool::default()
-        } else {
-            ThreadPool::new(threads)
-        };
+        let pool = ThreadPool::default();
         let mut out: Vec<DenseMatrix> = Vec::with_capacity(hops);
         for k in 0..hops {
             let prev = if k == 0 { x } else { &out[k - 1] };
@@ -502,7 +487,7 @@ impl IncrProp {
     /// no-op on the bytes because the update rule is bitwise-exact).
     pub fn resync(&mut self) {
         let _t = bbgnn_obs::kernel_timer("incr/resync");
-        self.h = Self::full_chain(&self.norm, &self.x, self.hops, self.threads);
+        self.h = Self::full_chain(&self.norm, &self.x, self.hops);
         self.since_resync = 0;
         self.resynced = true;
     }
@@ -513,7 +498,7 @@ impl IncrProp {
     /// # Panics
     /// Panics on the first differing element, naming hop/row/column.
     pub fn assert_matches_full(&self) {
-        let full = Self::full_chain(&self.norm, &self.x, self.hops, self.threads);
+        let full = Self::full_chain(&self.norm, &self.x, self.hops);
         for (k, (a, b)) in self.h.iter().zip(&full).enumerate() {
             for (idx, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
                 assert!(

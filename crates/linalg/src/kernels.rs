@@ -35,9 +35,15 @@
 //!
 //! # Thread count
 //!
-//! [`env_threads`] reads `BBGNN_THREADS` once per process (cached), falling
-//! back to the machine's available parallelism. Invalid or zero values fall
-//! back to the default; `bench::cli` additionally validates the variable
+//! [`current_threads`] is the one place a kernel width comes from:
+//! [`ExecContext::from_env`] and [`ThreadPool::default`] — and through them
+//! the autodiff tape, the trainers, the attackers and the defenses — read
+//! it. Inside a job it is the width the job recorded in its
+//! `SupervisionScope` (`Job::run` records its context's thread count, and
+//! pool workers re-enter that scope); outside one it is [`env_threads`],
+//! which reads `BBGNN_THREADS` once per process (cached), falling back to
+//! the machine's available parallelism. Invalid or zero values fall back
+//! to the default; `bench::cli` additionally validates the variable
 //! strictly for experiment binaries and `bbgnn-serve`.
 
 use crate::{CsrMatrix, DenseMatrix};
@@ -83,6 +89,14 @@ pub fn env_threads() -> usize {
     })
 }
 
+/// The kernel width of the calling thread: the width recorded in the
+/// entered job scope ([`bbgnn_supervise::entered_threads`]), else
+/// [`env_threads`]. Every default-width context and pool resolves through
+/// here; one thread-local borrow, no `Arc` clone.
+pub fn current_threads() -> usize {
+    bbgnn_supervise::entered_threads().unwrap_or_else(env_threads)
+}
+
 /// Deterministic `fault/pool_panic` injection site (DESIGN.md §11): run as
 /// the first statement of every spawned pool worker. When the installed
 /// fault plan says this invocation fires, the worker panics — the region
@@ -102,10 +116,14 @@ fn maybe_injected_worker_panic() {
 /// Workers are spawned per parallel region with `std::thread::scope`, which
 /// keeps the pool dependency-free and lifetime-safe (no `unsafe`, no
 /// channels): borrowed inputs flow into worker closures directly. Spawn
-/// cost is tens of microseconds per region — 54–65 µs for a two-worker
-/// region, measured on a 2-core x86-64 host — so the work thresholds gate
-/// every region, and a product just above them (about a megaflop) still
-/// pays a visible share of its time to the spawn.
+/// cost is tens of microseconds per region — about 95 µs for an empty
+/// two-worker region on a 2-core x86-64 host, level with one raw scoped
+/// spawn per band (`kernel_bench`'s `pool_region` row) — so the
+/// work thresholds gate every region, and a product just above them
+/// (about a megaflop) still pays a visible share of its time to the spawn.
+/// The calling thread waits in `join` rather than running a band itself:
+/// the OS can queue a new thread behind a busy caller, which then
+/// serializes the region (see DESIGN.md §7).
 ///
 /// Pool regions are *accounting* sites for the supervision layer
 /// (fault injection, workspace memory high-water marks), not stop sites:
@@ -230,7 +248,8 @@ impl ThreadPool {
 /// busy_ns / (region_ns * threads). Workers inherit the submitting
 /// thread's supervision scope, so check sites reached from inside a
 /// region (the GF-Attack eigensolver exception, §11) observe the right
-/// tenant.
+/// tenant and kernel contexts built there get the job's width
+/// ([`current_threads`]).
 fn run_region<I, T, W>(items: impl Iterator<Item = I>, work: W) -> Vec<T>
 where
     I: Send,
@@ -281,8 +300,9 @@ fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
 }
 
 impl Default for ThreadPool {
+    /// A pool of [`current_threads`] workers.
     fn default() -> Self {
-        Self::new(env_threads())
+        Self::new(current_threads())
     }
 }
 
@@ -1212,27 +1232,15 @@ impl ExecContext {
         }
     }
 
-    /// A context with the process-wide [`env_threads`] worker count.
+    /// A context with the calling thread's [`current_threads`] worker
+    /// count: the entered job's width, else `BBGNN_THREADS`.
     pub fn from_env() -> Self {
-        Self::new(env_threads())
+        Self::new(current_threads())
     }
 
     /// Convenience: `Rc::new(Self::from_env())`.
     pub fn shared_from_env() -> Rc<Self> {
         Rc::new(Self::from_env())
-    }
-
-    /// A context with `threads` workers, falling back to [`env_threads`]
-    /// when `threads == 0`. This is the conventional meaning of a
-    /// `threads: usize` field on attacker / benchmark configs: `0` defers
-    /// to `BBGNN_THREADS`, any other value pins the count explicitly
-    /// (useful for thread-count-invariance tests).
-    pub fn with_threads(threads: usize) -> Self {
-        if threads == 0 {
-            Self::from_env()
-        } else {
-            Self::new(threads)
-        }
     }
 
     /// Worker count used by this context's kernels.
@@ -1508,5 +1516,63 @@ mod tests {
             16,
             "scoped accounting lost in workers"
         );
+    }
+
+    #[test]
+    fn an_entered_scopes_width_reaches_default_contexts_and_pool_workers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let outside = ExecContext::from_env().threads();
+        assert_eq!(outside, env_threads(), "no scope: the process width");
+        let scope = bbgnn_supervise::SupervisionScope::new();
+        scope.set_threads(3);
+        let _entered = bbgnn_supervise::enter(&scope);
+        assert_eq!(ExecContext::from_env().threads(), 3);
+        assert_eq!(ThreadPool::default().threads(), 3);
+
+        // Both bands of a two-band region see the job's width.
+        let seen = AtomicUsize::new(0);
+        let mut out = vec![0.0; 16];
+        ThreadPool::new(2).for_each_row_band(&mut out, 8, true, |_, _| {
+            if ExecContext::from_env().threads() == 3 && ThreadPool::default().threads() == 3 {
+                seen.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(seen.load(Ordering::Relaxed), 2, "a band lost the width");
+    }
+
+    /// A panic in one band must still wait for every other band before
+    /// the region unwinds, and the failed band's own payload reaches the
+    /// caller.
+    #[test]
+    fn a_panicking_band_joins_every_band_before_unwinding() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let pool = ThreadPool::new(2);
+        let finished = AtomicBool::new(false);
+        let mut out = vec![0.0; 16];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.for_each_row_band(&mut out, 8, true, |first_row, _| {
+                if first_row == 0 {
+                    panic!("band 0");
+                }
+                // lint: allow(clock) reason=test holds the other band open past the first band's panic
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                finished.store(true, Ordering::SeqCst);
+            });
+        }));
+        assert!(caught.is_err(), "band 0's panic must propagate");
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the region unwound before its other band finished"
+        );
+
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.for_each_row_band(&mut out, 8, true, |first_row, _| {
+                if first_row != 0 {
+                    panic!("band 1");
+                }
+            });
+        }));
+        let payload = caught.expect_err("band 1's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"band 1"));
     }
 }

@@ -136,6 +136,15 @@ fn adversarial_sequences_match_full_rescore_bitwise() {
     }
 }
 
+/// Runs `f` at kernel width `threads`, pinned the way a job pins it:
+/// through an entered supervision scope.
+fn at_width<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let scope = bbgnn_supervise::SupervisionScope::new();
+    scope.set_threads(threads);
+    let _width = bbgnn_supervise::enter(&scope);
+    f()
+}
+
 /// One engine on 1 thread, one on 4: identical flip sequence, identical
 /// bytes at every step — the §7 kernel contract extended to the
 /// incremental path (full builds and resyncs use the threaded SpMM; the
@@ -147,13 +156,10 @@ fn one_vs_many_threads_bitwise_identity() {
     let n = 32;
     let edges = random_edges(n, 4 * n, &mut rng);
     let x = DenseMatrix::uniform(n, 6, 1.0, 9);
-    let mut cfg1 = IncrConfig::new(2);
-    cfg1.resync_stride = 4;
-    cfg1.threads = 1;
-    let mut cfg4 = cfg1.clone();
-    cfg4.threads = 4;
-    let mut p1 = IncrProp::from_edges(n, &edges, x.clone(), &cfg1);
-    let mut p4 = IncrProp::from_edges(n, &edges, x, &cfg4);
+    let mut cfg = IncrConfig::new(2);
+    cfg.resync_stride = 4;
+    let mut p1 = at_width(1, || IncrProp::from_edges(n, &edges, x.clone(), &cfg));
+    let mut p4 = at_width(4, || IncrProp::from_edges(n, &edges, x, &cfg));
     assert_bitwise(p1.propagated(), p4.propagated(), "initial build");
     for step in 0..20 {
         let u = rng.below(n);
@@ -161,8 +167,8 @@ fn one_vs_many_threads_bitwise_identity() {
         if u == v {
             v = (v + 1) % n;
         }
-        p1.flip_edge(u, v);
-        p4.flip_edge(u, v);
+        at_width(1, || p1.flip_edge(u, v));
+        at_width(4, || p4.flip_edge(u, v));
         assert_bitwise(p1.propagated(), p4.propagated(), &format!("step {step}"));
         assert_eq!(p1.resynced(), p4.resynced());
     }

@@ -156,10 +156,11 @@ pub struct JobSpec {
     /// Per-job supervision budget spec (e.g. `epochs=500,queries=2M`);
     /// validated at resolution, installed by the executor.
     pub budget: Option<String>,
-    /// Requested kernel worker threads. Accepted on the wire and
-    /// round-tripped, but not applied: a job's kernels run on the process
-    /// thread count (`BBGNN_THREADS`). Results are bitwise-identical for
-    /// every thread count (DESIGN.md §7).
+    /// Requested kernel worker threads (`0` = the executor's default).
+    /// `bbgnn-serve` runs the job's kernels at `min(threads, process
+    /// width)`, or at its per-worker share of the cores for `0`; the CLI
+    /// binaries run at the process width. Results are bitwise-identical
+    /// for every thread count (DESIGN.md §7).
     pub threads: usize,
 }
 
@@ -547,9 +548,10 @@ impl Job {
 
     /// Runs the cell to completion: load (or reuse) the input graph,
     /// poison it if the job has an attacker, evaluate, all inside the
-    /// [`run_cell`] boundary. `ctx` is not applied: the models build
-    /// their own kernel contexts from the process thread count
-    /// (`env_threads`).
+    /// [`run_cell`] boundary. Every kernel the cell runs — models,
+    /// attackers, defenses, pool workers — uses `ctx`'s thread count: it
+    /// is recorded in the job's scope, where
+    /// `bbgnn_linalg::kernels::current_threads` reads it.
     pub fn run(&self, ctx: &ExecContext) -> CellResult {
         self.run_with_graph(ctx, None)
     }
@@ -560,12 +562,14 @@ impl Job {
     /// evaluation input verbatim (the job's own attack, if any, is *not*
     /// re-applied), except for `attack_time` evaluations, which measure
     /// the attack against it.
-    pub fn run_with_graph(&self, _ctx: &ExecContext, prepared: Option<&Graph>) -> CellResult {
+    pub fn run_with_graph(&self, ctx: &ExecContext, prepared: Option<&Graph>) -> CellResult {
         // The cell runs inside this job's supervision scope: check sites
         // it reaches consult the scope (after the process-default domain),
         // and the job's own budget — if the spec set one — bounds this
         // job alone. With an inactive scope and no spec budget (the CLI
-        // path) this changes nothing observable.
+        // path) this changes nothing observable. The scope also carries
+        // the job's kernel width.
+        self.scope.set_threads(ctx.threads());
         let _scope = bbgnn_supervise::enter(&self.scope);
         if let Some(budget) = self.budget() {
             self.scope.install_budget(&budget);
@@ -930,6 +934,30 @@ pub(crate) mod tests {
             .with_sleeper(quiet_sleep)
             .run(&ctx);
         assert_eq!(again.value, first.value, "same spec, same bytes");
+    }
+
+    /// The width a job runs at is recorded in its scope and never
+    /// changes a byte of its result (DESIGN.md §7).
+    #[test]
+    fn a_jobs_result_is_byte_identical_at_widths_one_and_two() {
+        let _guard = locked();
+        let spec = JobSpec {
+            attack: Some("PEEGA".to_string()),
+            ..small_spec()
+        };
+        let run = |threads: usize| {
+            let job = Job::new(spec.clone()).unwrap().with_sleeper(quiet_sleep);
+            let result = job.run(&ExecContext::new(threads));
+            assert_eq!(job.scope().threads(), Some(threads));
+            result
+        };
+        let (one, two) = (run(1), run(2));
+        assert_eq!(one.outcome, CellOutcome::Ok, "detail: {:?}", one.detail);
+        assert_eq!(
+            (one.key, one.value, one.outcome, one.attempts),
+            (two.key, two.value, two.outcome, two.attempts)
+        );
+        assert_eq!((one.detail, one.artifacts), (two.detail, two.artifacts));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! bbgnn-serve [--addr HOST:PORT] [--queue N] [--workers N] [infra flags]
 //!   --addr     bind address (default 127.0.0.1:8787; port 0 = pick free)
 //!   --queue    pending-job admission bound (default 16)
-//!   --workers  concurrent job runners (default 1); each job's kernels
-//!              use the process thread count (--threads)
+//!   --workers  concurrent job runners (default 1); they split the cores:
+//!              a job's kernels run at its spec's `threads` capped at the
+//!              process thread count (--threads), or for `threads: 0` at
+//!              that count divided by --workers, at least 1
 //!   plus the shared infra flags: --threads --trace --store --deadline
 //!   --budget --faults (see bbgnn_bench::cli::InfraFlags)
 //! ```

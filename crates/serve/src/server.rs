@@ -10,10 +10,12 @@
 //!   one socket (keep-alive) until the client sends `Connection: close`,
 //!   goes quiet past the read timeout, or the server drains;
 //! * a **worker pool** of `--workers N` threads pops the FIFO queue and
-//!   runs jobs concurrently. Each job's kernels run on the process thread
-//!   count ([`env_threads`], i.e. `BBGNN_THREADS` or available
-//!   parallelism), whatever the pool size; a spec's `threads` field is
-//!   accepted on the wire but not applied.
+//!   runs jobs concurrently. The pool splits the cores: a job's kernels
+//!   run at `job_threads` — the spec's `threads` capped at the process
+//!   thread count ([`env_threads`], i.e. `BBGNN_THREADS` or available
+//!   parallelism), or for `threads: 0` the process count divided by
+//!   `N`, at least 1 — so `N` concurrent jobs do not oversubscribe the
+//!   cores. `GET /jobs/:id` reports the width a cold job ran at.
 //!
 //! [`env_threads`]: bbgnn_linalg::kernels::env_threads
 //!
@@ -29,6 +31,7 @@
 
 use crate::http::{self, ReadError, Request};
 use crate::state::{JobPhase, JobRecord, Popped, Refused, ServerState};
+use bbgnn_linalg::kernels::env_threads;
 use bbgnn_linalg::ExecContext;
 use bbgnn_scenario::job::{CellResult, Job, JobSpec};
 use bbgnn_scenario::json::Json;
@@ -328,6 +331,16 @@ fn submit(state: &Arc<ServerState>, body: &str) -> (u16, String) {
     }
 }
 
+/// The kernel width one job runs at on a `workers`-job pool in a process
+/// of `process` threads: the spec's `requested` count capped at the
+/// process count, or for `0` the worker's share of it, at least 1.
+fn job_threads(requested: usize, process: usize, workers: usize) -> usize {
+    match requested {
+        0 => (process / workers.max(1)).max(1),
+        n => n.min(process),
+    }
+}
+
 fn worker_loop(state: &Arc<ServerState>) {
     loop {
         // A process-global cancel is never raised by a DELETE any more
@@ -345,16 +358,18 @@ fn worker_loop(state: &Arc<ServerState>) {
 }
 
 /// Runs one job: store-warm replay when an identical completed spec is
-/// recorded, otherwise a full [`Job::run`] — which enters the job's own
-/// supervision scope and installs its budget there, so nothing global
-/// needs resetting between tenants.
+/// recorded, otherwise a full [`Job::run`] at the job's [`job_threads`]
+/// width — which enters the job's own supervision scope and installs its
+/// budget and width there, so nothing global needs resetting between
+/// tenants.
 fn run_one(state: &ServerState, id: u64, job: Job) {
     let spec = job.spec().clone();
     let warm = replay(&spec, &job);
     let (result, warm) = match warm {
         Some(result) => (result, true),
         None => {
-            let result = job.run(&ExecContext::from_env());
+            let threads = job_threads(spec.threads, env_threads(), state.workers());
+            let result = job.run(&ExecContext::new(threads));
             if let Some(record) = JobRecord::from_result(&result) {
                 bbgnn_store::publish(&JobRecord::key_for(&spec), &record);
             }
@@ -647,8 +662,9 @@ mod tests {
         let addr = server.addr();
 
         // Two different specs, expected values computed sequentially
-        // in-process. Byte-identity is the §2 determinism contract: the
-        // pool partitions cores, and thread count never changes results.
+        // in-process at the process width. Byte-identity is the §7
+        // determinism contract: the pool splits the cores between the two
+        // jobs, and thread count never changes results.
         let spec_a = SMALL;
         let spec_b =
             r#"{"dataset": "cora", "eval": {"kind": "accuracy", "runs": 1, "scale": 0.1}}"#;
@@ -672,6 +688,21 @@ mod tests {
         assert_eq!(get_field(&done_a, "value"), expected_a.value);
         assert_eq!(get_field(&done_b, "value"), expected_b.value);
         server.shutdown();
+    }
+
+    #[test]
+    fn job_width_is_the_capped_request_or_the_workers_share() {
+        // `threads: 0` splits the process width evenly, never below 1.
+        assert_eq!(job_threads(0, 8, 2), 4);
+        assert_eq!(job_threads(0, 7, 2), 3);
+        assert_eq!(job_threads(0, 2, 2), 1);
+        assert_eq!(job_threads(0, 1, 4), 1);
+        assert_eq!(job_threads(0, 4, 1), 4);
+        // An explicit request is honored up to the process width.
+        assert_eq!(job_threads(1, 8, 2), 1);
+        assert_eq!(job_threads(6, 8, 2), 6);
+        assert_eq!(job_threads(64, 8, 2), 8);
+        assert_eq!(job_threads(3, 2, 1), 2);
     }
 
     #[test]

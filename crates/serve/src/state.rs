@@ -167,34 +167,44 @@ fn job_json_locked(inner: &Inner, id: u64) -> Option<Json> {
         if let Some(detail) = &result.detail {
             r.push(("detail".to_string(), Json::string(detail)));
         }
+        // The kernel width the job ran at; a warm replay ran no kernels.
+        if let Some(threads) = entry.scope.threads().filter(|_| !entry.warm) {
+            r.push(("threads".to_string(), Json::number_usize(threads)));
+        }
         pairs.push(("result".to_string(), Json::object(r)));
     }
     if entry.phase == JobPhase::Running {
         let counters = bbgnn_obs::live::snapshot();
+        // `threads` is present once the cold run has recorded its width.
+        let width = entry.scope.threads();
         pairs.push((
             "progress".to_string(),
-            Json::object([
-                (
-                    "epochs".to_string(),
-                    Json::number_u64(entry.scope.epochs_used()),
-                ),
-                (
-                    "queries".to_string(),
-                    Json::number_u64(entry.scope.queries_used()),
-                ),
-                (
-                    "peak_bytes".to_string(),
-                    Json::number_u64(entry.scope.peak_bytes()),
-                ),
-                (
-                    "counters".to_string(),
-                    Json::object(
-                        counters
-                            .into_iter()
-                            .map(|(k, v)| (k.to_string(), Json::number_u64(v))),
+            Json::object(
+                [
+                    (
+                        "epochs".to_string(),
+                        Json::number_u64(entry.scope.epochs_used()),
                     ),
-                ),
-            ]),
+                    (
+                        "queries".to_string(),
+                        Json::number_u64(entry.scope.queries_used()),
+                    ),
+                    (
+                        "peak_bytes".to_string(),
+                        Json::number_u64(entry.scope.peak_bytes()),
+                    ),
+                    (
+                        "counters".to_string(),
+                        Json::object(
+                            counters
+                                .into_iter()
+                                .map(|(k, v)| (k.to_string(), Json::number_u64(v))),
+                        ),
+                    ),
+                ]
+                .into_iter()
+                .chain(width.map(|t| ("threads".to_string(), Json::number_usize(t)))),
+            ),
         ));
     }
     Some(Json::object(pairs))

@@ -45,7 +45,7 @@ pub mod scope;
 pub mod signal;
 
 pub use fault::{fault_at, FaultShot, FAULT_SITES};
-pub use scope::{current_scope, enter, ScopeGuard, SupervisionScope};
+pub use scope::{current_scope, enter, entered_threads, ScopeGuard, SupervisionScope};
 
 use bbgnn_errors::{BbgnnError, BbgnnResult};
 use std::sync::OnceLock;

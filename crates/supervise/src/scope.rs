@@ -27,10 +27,17 @@
 //! `ThreadPool::for_each_row_band`), so check sites reached from inside
 //! a parallel region — the GF-Attack eigensolver exception of §11 —
 //! observe the same scope as the thread that launched the region.
+//!
+//! A scope also carries its job's **kernel width**
+//! ([`set_threads`](SupervisionScope::set_threads)): the thread count
+//! every kernel context built inside the job uses
+//! ([`entered_threads`], read by `bbgnn_linalg::kernels::current_threads`).
+//! It rides in the scope because the scope is the one thread-local pool
+//! workers already re-enter.
 
 use crate::{RunBudget, Stop, ROOT};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "no cap configured" in the budget atomics.
@@ -65,6 +72,8 @@ pub struct SupervisionScope {
     peak_bytes: AtomicU64,
     /// Whether this domain's stop was already announced on the obs stream.
     stop_announced: AtomicBool,
+    /// Kernel width of the job running in this scope; `0` = none recorded.
+    threads: AtomicUsize,
 }
 
 impl SupervisionScope {
@@ -83,6 +92,7 @@ impl SupervisionScope {
             queries_used: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
             stop_announced: AtomicBool::new(false),
+            threads: AtomicUsize::new(0),
         }
     }
 
@@ -105,6 +115,7 @@ impl SupervisionScope {
         self.queries_used.store(0, Ordering::Relaxed);
         self.peak_bytes.store(0, Ordering::Relaxed);
         self.stop_announced.store(false, Ordering::Relaxed);
+        self.threads.store(0, Ordering::Relaxed);
         self.active.store(false, Ordering::Relaxed);
     }
 
@@ -250,6 +261,23 @@ impl SupervisionScope {
     pub fn peak_bytes(&self) -> u64 {
         self.peak_bytes.load(Ordering::Relaxed)
     }
+
+    /// Records the kernel width of the work running in this scope: every
+    /// kernel context built on a thread that has entered it runs on
+    /// `threads` workers (clamped to at least 1). Never changes a result
+    /// byte (DESIGN.md §7).
+    pub fn set_threads(&self, threads: usize) {
+        self.threads.store(threads.max(1), Ordering::Relaxed);
+    }
+
+    /// The kernel width recorded by [`set_threads`](Self::set_threads),
+    /// `None` before one was.
+    pub fn threads(&self) -> Option<usize> {
+        match self.threads.load(Ordering::Relaxed) {
+            0 => None,
+            n => Some(n),
+        }
+    }
 }
 
 impl std::fmt::Debug for SupervisionScope {
@@ -259,6 +287,7 @@ impl std::fmt::Debug for SupervisionScope {
             .field("cancelled", &self.cancelled.load(Ordering::Relaxed))
             .field("epochs_used", &self.epochs_used())
             .field("queries_used", &self.queries_used())
+            .field("threads", &self.threads())
             .finish()
     }
 }
@@ -300,6 +329,16 @@ pub fn enter(scope: &Arc<SupervisionScope>) -> ScopeGuard {
 /// this to propagate the submitting thread's scope into pool workers.
 pub fn current_scope() -> Option<Arc<SupervisionScope>> {
     CURRENT.try_with(|c| c.borrow().clone()).ok().flatten()
+}
+
+/// The kernel width recorded in the current thread's entered scope, if
+/// any: one thread-local borrow, no `Arc` clone. Pool workers re-enter
+/// the submitting thread's scope, so they read the same width.
+pub fn entered_threads() -> Option<usize> {
+    CURRENT
+        .try_with(|c| c.borrow().as_ref().and_then(|s| s.threads()))
+        .ok()
+        .flatten()
 }
 
 /// Whether the current thread's entered scope (if any) is active — the
@@ -406,6 +445,23 @@ mod tests {
             assert!(Arc::ptr_eq(&current_scope().unwrap(), &inner));
         }
         assert!(Arc::ptr_eq(&current_scope().unwrap(), &outer));
+    }
+
+    #[test]
+    fn entered_threads_reads_only_the_entered_scopes_width() {
+        let outer = SupervisionScope::new();
+        let inner = SupervisionScope::new();
+        assert_eq!(entered_threads(), None, "no scope entered");
+        let _o = enter(&outer);
+        assert_eq!(entered_threads(), None, "no width recorded yet");
+        outer.set_threads(3);
+        assert_eq!(entered_threads(), Some(3));
+        {
+            inner.set_threads(0);
+            let _i = enter(&inner);
+            assert_eq!(entered_threads(), Some(1), "a width is at least 1");
+        }
+        assert_eq!(entered_threads(), Some(3), "the outer width is restored");
     }
 
     #[test]

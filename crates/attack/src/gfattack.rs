@@ -22,13 +22,12 @@
 //!   eigendecomposition, orders of magnitude faster with near-identical
 //!   flip selection. Used by the fast test-suite.
 
-use crate::{budget_for, AttackResult, Attacker, AttackerNodes};
+use crate::{budget_for, with_edge_flips, Attacker, AttackerNodes};
 use bbgnn_graph::Graph;
 use bbgnn_linalg::eigen::try_lanczos_topk;
 use bbgnn_linalg::{CsrMatrix, ThreadPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Candidate scoring backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,29 +133,17 @@ impl GfAttack {
         Self { config }
     }
 
-    /// Restricted filter energy `Σ_i λ_i^K ‖u_iᵀ X‖²` of a graph, or
-    /// `None` when the supervision layer stopped the eigensolve (the
-    /// candidate is then dropped from the scored list).
+    /// Restricted filter energy `Σ_i λ_i^K ‖u_iᵀ X‖²` of the graph with
+    /// normalized adjacency `an` and the features of `g`, or `None` when
+    /// the supervision layer stopped the eigensolve (the candidate is then
+    /// dropped from the scored list).
     ///
     /// `cache` warm-starts the eigendecomposition from the artifact store;
     /// pass it only for the once-per-attack clean-graph call — the
     /// per-candidate rescoring runs on pool workers (where store recording
     /// is not active) and would write one artifact per flipped edge.
-    fn filter_energy(&self, adj: &CsrMatrix, g: &Graph, seed: u64, cache: bool) -> Option<f64> {
-        self.filter_energy_normalized(&adj.gcn_normalize(), g, seed, cache)
-    }
-
-    /// [`Self::filter_energy`] on an already-normalized adjacency — the
-    /// entry point for the incremental exact backend, whose per-candidate
-    /// patched `Â_n'` skips the renormalization entirely.
-    fn filter_energy_normalized(
-        &self,
-        an: &CsrMatrix,
-        g: &Graph,
-        seed: u64,
-        cache: bool,
-    ) -> Option<f64> {
-        let t = self.config.top_eigens.min(an.rows());
+    fn filter_energy(&self, an: &CsrMatrix, g: &Graph, cache: bool) -> Option<f64> {
+        let (t, seed) = (self.config.top_eigens.min(an.rows()), self.config.seed);
         let eig = if cache {
             lanczos_cached(an, t, seed)?
         } else {
@@ -218,8 +205,7 @@ impl GfAttack {
     }
 
     fn attack_exact(&self, g: &Graph, budget: usize) -> (Graph, bool) {
-        let Some(base_energy) = self.filter_energy(&g.adjacency_csr(), g, self.config.seed, true)
-        else {
+        let Some(base_energy) = self.filter_energy(&g.normalized_adjacency(), g, true) else {
             // Stopped before any candidate was scored: clean graph back.
             return (g.clone(), true);
         };
@@ -262,31 +248,16 @@ impl GfAttack {
                             // truncates at a timing-dependent point — the
                             // §11 check-site exception, bounded because the
                             // result is flagged truncated.
-                            let energy = if let Some(norm) = &norm {
-                                self.filter_energy_normalized(
-                                    &norm.flipped_normalized_csr(u, v),
-                                    g,
-                                    self.config.seed,
-                                    false,
-                                )?
-                            } else {
-                                let mut flipped = g.clone();
-                                flipped.flip_edge(u, v);
-                                self.filter_energy(
-                                    &flipped.adjacency_csr(),
-                                    g,
-                                    self.config.seed,
-                                    false,
-                                )?
+                            let an = match &norm {
+                                Some(norm) => norm.flipped_normalized_csr(u, v),
+                                None => with_edge_flips(g, [(u, v)]).normalized_adjacency(),
                             };
+                            let energy = self.filter_energy(&an, g, false)?;
                             Some((energy - base_energy, u, v))
                         })
                         .collect()
                 },
-                |mut a: Vec<_>, mut b| {
-                    a.append(&mut b);
-                    a
-                },
+                crate::scan::concat,
             )
             .unwrap_or_default();
         // Truncation is judged before the finiteness filter: a dropped
@@ -296,11 +267,8 @@ impl GfAttack {
         let truncated = scored.len() < candidates.len();
         scored.retain(|c| c.0.is_finite());
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut poisoned = g.clone();
-        for &(_, u, v) in scored.iter().take(budget) {
-            poisoned.flip_edge(u, v);
-        }
-        (poisoned, truncated)
+        let flips = scored.iter().take(budget).map(|&(_, u, v)| (u, v));
+        (with_edge_flips(g, flips), truncated)
     }
 
     fn attack_first_order(&self, g: &Graph, budget: usize) -> (Graph, bool) {
@@ -357,18 +325,12 @@ impl GfAttack {
                     }
                     out
                 },
-                |mut a: Vec<_>, mut b| {
-                    a.append(&mut b);
-                    a
-                },
+                crate::scan::concat,
             )
             .unwrap_or_default();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut poisoned = g.clone();
-        for &(_, u, v) in scored.iter().take(budget) {
-            poisoned.flip_edge(u, v);
-        }
-        (poisoned, false)
+        let flips = scored.iter().take(budget).map(|&(_, u, v)| (u, v));
+        (with_edge_flips(g, flips), false)
     }
 }
 
@@ -377,28 +339,18 @@ impl Attacker for GfAttack {
         "GF-Attack"
     }
 
-    fn attack(&mut self, g: &Graph) -> AttackResult {
-        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
-        let start = Instant::now();
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let budget = budget_for(g, self.config.rate);
         let _span = bbgnn_obs::span!("attack/gfattack", nodes = g.num_nodes(), budget = budget);
         // Cooperative stop site (DESIGN.md §11): GF-Attack is one scan,
         // so a pre-existing stop skips it entirely; mid-scan stops drop
         // unscored candidates inside the backends.
-        let (poisoned, truncated) = if crate::should_stop("attack/gfattack/scan") {
-            (g.clone(), true)
-        } else {
-            match self.config.scoring {
-                GfScoring::ExactRecompute => self.attack_exact(g, budget),
-                GfScoring::FirstOrder => self.attack_first_order(g, budget),
-            }
-        };
-        AttackResult {
-            edge_flips: g.edge_difference(&poisoned),
-            feature_flips: 0,
-            elapsed: start.elapsed(),
-            poisoned,
-            truncated,
+        if crate::should_stop("attack/gfattack/scan") {
+            return (g.clone(), true);
+        }
+        match self.config.scoring {
+            GfScoring::ExactRecompute => self.attack_exact(g, budget),
+            GfScoring::FirstOrder => self.attack_first_order(g, budget),
         }
     }
 }

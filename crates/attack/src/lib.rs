@@ -39,7 +39,7 @@ mod scan;
 pub mod targeted;
 
 use bbgnn_graph::Graph;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which nodes the attacker may touch (Sec. V-E2 / Fig. 7a).
 ///
@@ -128,9 +128,25 @@ pub trait Attacker {
     /// Display name used in tables.
     fn name(&self) -> &'static str;
 
-    /// Attacks `g`, returning the poisoned graph. Implementations must
-    /// never mutate `g` and must respect their configured budget.
-    fn attack(&mut self, g: &Graph) -> AttackResult;
+    /// Poisons `g` within the configured budget and returns the poisoned
+    /// graph, plus whether a supervision stop (DESIGN.md §11) truncated
+    /// it. Implementations must never mutate `g`.
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool);
+
+    /// Attacks `g`: times [`Attacker::perturb`] and counts the flips it
+    /// made. Implementors write `perturb`, not this.
+    fn attack(&mut self, g: &Graph) -> AttackResult {
+        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
+        let start = Instant::now();
+        let (poisoned, truncated) = self.perturb(g);
+        AttackResult {
+            edge_flips: g.edge_difference(&poisoned),
+            feature_flips: g.feature_difference(&poisoned),
+            elapsed: start.elapsed(),
+            poisoned,
+            truncated,
+        }
+    }
 }
 
 /// Runs `run` with the process-wide incremental switch off, then on, and
@@ -149,6 +165,15 @@ pub(crate) fn dense_and_incremental<T>(mut run: impl FnMut() -> T) -> (T, T) {
     let incr = run();
     bbgnn_linalg::incr::set_enabled(false);
     (dense, incr)
+}
+
+/// `g` with each undirected edge of `flips` flipped.
+pub(crate) fn with_edge_flips(g: &Graph, flips: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+    let mut poisoned = g.clone();
+    for (u, v) in flips {
+        poisoned.flip_edge(u, v);
+    }
+    poisoned
 }
 
 /// Budget in undirected-edge units for a perturbation `rate`:

@@ -15,8 +15,9 @@
 //! PEEGA due to repeated surrogate training, cross-label edge additions)
 //! are preserved.
 
-use crate::{budget_for, AttackResult, Attacker, AttackerNodes};
+use crate::{budget_for, Attacker, AttackerNodes};
 use bbgnn_autodiff::Tape;
+use bbgnn_gnn::gcn::normalize_dense;
 use bbgnn_gnn::linear_gcn::LinearGcn;
 use bbgnn_gnn::train::TrainConfig;
 use bbgnn_graph::Graph;
@@ -88,9 +89,7 @@ impl Attacker for Metattack {
         "Metattack"
     }
 
-    fn attack(&mut self, g: &Graph) -> AttackResult {
-        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
-        let start = Instant::now();
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let cfg = &self.config;
         let n = g.num_nodes();
         let budget = budget_for(g, cfg.rate);
@@ -155,11 +154,7 @@ impl Attacker for Metattack {
             // Gradient of the self-training loss w.r.t. the dense adjacency.
             let mut tape = Tape::with_context(Rc::clone(&ctx));
             let a = tape.var(a_hat.clone());
-            let a_loop = tape.add_const(a, Rc::clone(&eye));
-            let deg = tape.row_sum(a_loop);
-            let dinv = tape.pow_scalar(deg, -0.5);
-            let scaled = tape.scale_rows(a_loop, dinv);
-            let an = tape.scale_cols(scaled, dinv);
+            let an = normalize_dense(&mut tape, a, &eye);
             let xw = tape.constant(poisoned.features.matmul(w));
             let mut h = xw;
             for _ in 0..cfg.hops {
@@ -199,13 +194,7 @@ impl Attacker for Metattack {
             );
         }
 
-        AttackResult {
-            edge_flips: g.edge_difference(&poisoned),
-            feature_flips: 0,
-            elapsed: start.elapsed(),
-            poisoned,
-            truncated,
-        }
+        (poisoned, truncated)
     }
 }
 

@@ -7,13 +7,12 @@
 //! (discretized) perturbation. This makes the attack stronger than PGD —
 //! and roughly twice as slow, matching Table VII.
 
-use crate::pgd::{pgd_optimize, top_k_flips};
-use crate::{budget_for, AttackResult, Attacker, AttackerNodes};
+use crate::pgd::{pgd_optimize, top_k_flips, PgdConfig};
+use crate::{budget_for, with_edge_flips, Attacker, AttackerNodes};
 use bbgnn_gnn::gcn::Gcn;
 use bbgnn_gnn::train::TrainConfig;
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
-use std::time::Instant;
 
 /// MinMax attack configuration.
 #[derive(Clone, Debug)]
@@ -78,9 +77,7 @@ impl Attacker for MinMaxAttack {
         "MinMax"
     }
 
-    fn attack(&mut self, g: &Graph) -> AttackResult {
-        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
-        let start = Instant::now();
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let _span = bbgnn_obs::span!("attack/minmax", nodes = g.num_nodes());
         let cfg = self.config.clone();
         let budget = budget_for(g, cfg.rate);
@@ -93,41 +90,25 @@ impl Attacker for MinMaxAttack {
             ..cfg.train.clone()
         };
         let retrain_every = cfg.retrain_every.max(1);
-        let g_inner = g.clone();
-        let (flips, truncated) = pgd_optimize(
-            g,
-            cfg.rate,
-            cfg.ascent_steps,
-            cfg.lr,
-            cfg.sample_trials,
-            &cfg.attacker_nodes,
-            cfg.seed,
-            &mut gcn,
-            |victim, s, step| {
-                if step == 0 || step % retrain_every != 0 {
-                    return;
-                }
-                // Inner minimization: retrain the victim on the current
-                // perturbation, discretized to its strongest entries.
-                let mut poisoned = g_inner.clone();
-                for (u, v) in top_k_flips(s, budget) {
-                    poisoned.flip_edge(u, v);
-                }
-                *victim = Gcn::paper_default(inner_cfg.clone());
-                victim.fit(&poisoned);
-            },
-        );
-        let mut poisoned = g.clone();
-        for &(u, v) in &flips {
-            poisoned.flip_edge(u, v);
-        }
-        AttackResult {
-            edge_flips: g.edge_difference(&poisoned),
-            feature_flips: 0,
-            elapsed: start.elapsed(),
-            poisoned,
-            truncated,
-        }
+        // The ascent and discretization are PGD's, with MinMax's knobs.
+        let ascent = PgdConfig {
+            rate: cfg.rate,
+            ascent_steps: cfg.ascent_steps,
+            lr: cfg.lr,
+            sample_trials: cfg.sample_trials,
+            train: cfg.train.clone(),
+            attacker_nodes: cfg.attacker_nodes.clone(),
+            seed: cfg.seed,
+        };
+        pgd_optimize(g, &ascent, &mut gcn, |victim, s, step| {
+            if step == 0 || step % retrain_every != 0 {
+                return;
+            }
+            // Inner minimization: retrain the victim on the current
+            // perturbation, discretized to its strongest entries.
+            *victim = Gcn::paper_default(inner_cfg.clone());
+            victim.fit(&with_edge_flips(g, top_k_flips(s, budget)));
+        })
     }
 }
 

@@ -18,8 +18,9 @@
 //! Fig. 7(b) experiment, and the feature-cost weight `β` implements the
 //! Sec. V-D1 ablation.
 
-use crate::{budget_for, AttackResult, Attacker, AttackerNodes};
+use crate::{budget_for, Attacker, AttackerNodes};
 use bbgnn_autodiff::{Tape, TensorId};
+use bbgnn_gnn::gcn::normalize_dense;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::{CsrMatrix, DenseMatrix, ExecContext};
 use std::rc::Rc;
@@ -103,72 +104,12 @@ impl Peega {
     pub fn new(config: PeegaConfig) -> Self {
         Self { config }
     }
-
-    /// Builds the Def. 3 objective on a tape over the current relaxed
-    /// `Â` / `X̂` and returns `(objective, a_id, x_id)`.
-    ///
-    /// `row_mask` restricts the node sums (Sec. V-A3) — rows outside the
-    /// objective set are zeroed before the norms, and `masked_adj` holds
-    /// only the original edges whose source is in the objective set.
-    #[allow(clippy::too_many_arguments)]
-    fn objective(
-        &self,
-        tape: &mut Tape,
-        a_hat: &DenseMatrix,
-        x_hat: &DenseMatrix,
-        clean_prop: &Rc<DenseMatrix>,
-        masked_adj: &Rc<CsrMatrix>,
-        eye: &Rc<DenseMatrix>,
-        row_mask: &Rc<DenseMatrix>,
-    ) -> (TensorId, TensorId, TensorId) {
-        let a = tape.var(a_hat.clone());
-        let x = tape.var(x_hat.clone());
-        // GCN normalization chain on the dense adjacency variable.
-        let a_loop = tape.add_const(a, Rc::clone(eye));
-        let deg = tape.row_sum(a_loop);
-        let dinv = tape.pow_scalar(deg, -0.5);
-        let scaled = tape.scale_rows(a_loop, dinv);
-        let an = tape.scale_cols(scaled, dinv);
-        // Â_nˡ X̂ via repeated (n×n)(n×d) products (cheaper than Â_nˡ).
-        let mut h = x;
-        for _ in 0..self.config.hops {
-            // lint: allow(check_site) reason=hop chain is one objective evaluation; the §11 check belongs to the attack iteration loop driving it
-            h = tape.matmul(an, h);
-        }
-        // Self view (Eq. 5), restricted to the objective nodes.
-        let diff = tape.sub_const(h, clean_prop);
-        let masked_diff = tape.hadamard_const(diff, Rc::clone(row_mask));
-        let self_view = tape.row_lp_norm_sum(masked_diff, self.config.p);
-        // Global view (Eq. 6) over the ORIGINAL topology's edges whose
-        // source node is in the objective set.
-        let objective = if self.config.lambda != 0.0 {
-            let global = tape.neighbor_lp_norm_sum(
-                h,
-                Rc::clone(masked_adj),
-                Rc::clone(clean_prop),
-                self.config.p,
-            );
-            let weighted = tape.scalar_mul(global, self.config.lambda);
-            tape.add(self_view, weighted)
-        } else {
-            self_view
-        };
-        (objective, a, x)
-    }
-
-    /// The node set the objective sums over.
-    fn objective_node_set(&self, g: &Graph) -> Vec<usize> {
-        match &self.config.objective_nodes {
-            ObjectiveNodes::Train => g.split.train.clone(),
-            ObjectiveNodes::All => (0..g.num_nodes()).collect(),
-            ObjectiveNodes::Custom(v) => v.clone(),
-        }
-    }
 }
 
-/// A greedy candidate: either an edge flip or a feature flip.
+/// One perturbation PEEGA or PEEGA-P may commit: the undirected edge
+/// `(u, v)` or the feature bit `(v, i)`.
 #[derive(Clone, Copy, Debug)]
-enum Candidate {
+pub(crate) enum Flip {
     Edge(usize, usize),
     Feature(usize, usize),
 }
@@ -188,16 +129,95 @@ fn propagate_cached(g: &Graph, hops: usize) -> DenseMatrix {
     )
 }
 
+/// The Def. 3 objective over one clean graph, which PEEGA and PEEGA-P
+/// both maximize: the clean `A_nˡ X`, a row mask and the original edges
+/// that restrict the two views to the objective nodes (Sec. V-A3), and the
+/// identity the tape normalization adds.
+pub(crate) struct Objective {
+    clean_prop: Rc<DenseMatrix>,
+    row_mask: Rc<DenseMatrix>,
+    masked_adj: Rc<CsrMatrix>,
+    eye: Rc<DenseMatrix>,
+    hops: usize,
+    lambda: f64,
+    p: f64,
+}
+
+impl Objective {
+    /// The objective on `g` with surrogate depth `hops`, trade-off
+    /// `lambda` and norm order `p`, summed over `nodes`.
+    pub(crate) fn new(g: &Graph, nodes: &ObjectiveNodes, hops: usize, lambda: f64, p: f64) -> Self {
+        assert!(hops >= 1, "surrogate needs at least one hop");
+        let n = g.num_nodes();
+        let clean_prop = Rc::new(propagate_cached(g, hops));
+        let nodes = match nodes {
+            ObjectiveNodes::Train => g.split.train.clone(),
+            ObjectiveNodes::All => (0..n).collect(),
+            ObjectiveNodes::Custom(v) => v.clone(),
+        };
+        assert!(!nodes.is_empty(), "objective node set is empty");
+        let mut row_mask = DenseMatrix::zeros(n, g.feature_dim());
+        for &v in &nodes {
+            row_mask.row_mut(v).fill(1.0);
+        }
+        // Edges of the original topology whose source is an objective node.
+        let in_objective: std::collections::HashSet<usize> = nodes.into_iter().collect();
+        let masked_adj = CsrMatrix::from_triplets(
+            n,
+            n,
+            g.edges()
+                .flat_map(|(u, v)| [(u, v), (v, u)])
+                .filter(|(s, _)| in_objective.contains(s))
+                .map(|(s, t)| (s, t, 1.0)),
+        );
+        Self {
+            clean_prop,
+            row_mask: Rc::new(row_mask),
+            masked_adj: Rc::new(masked_adj),
+            eye: Rc::new(DenseMatrix::identity(n)),
+            hops,
+            lambda,
+            p,
+        }
+    }
+
+    /// Builds the objective on `tape` over the relaxed adjacency `a` and
+    /// features `x`.
+    pub(crate) fn eval(&self, tape: &mut Tape, a: TensorId, x: TensorId) -> TensorId {
+        let an = normalize_dense(tape, a, &self.eye);
+        // Â_nˡ X̂ via repeated (n×n)(n×d) products (cheaper than Â_nˡ).
+        let mut h = x;
+        for _ in 0..self.hops {
+            // lint: allow(check_site) reason=hop chain is one objective evaluation; the §11 check belongs to the attack iteration loop driving it
+            h = tape.matmul(an, h);
+        }
+        // Self view (Eq. 5), restricted to the objective nodes.
+        let diff = tape.sub_const(h, &self.clean_prop);
+        let masked_diff = tape.hadamard_const(diff, Rc::clone(&self.row_mask));
+        let self_view = tape.row_lp_norm_sum(masked_diff, self.p);
+        if self.lambda == 0.0 {
+            return self_view;
+        }
+        // Global view (Eq. 6) over the ORIGINAL topology's edges whose
+        // source node is in the objective set.
+        let global = tape.neighbor_lp_norm_sum(
+            h,
+            Rc::clone(&self.masked_adj),
+            Rc::clone(&self.clean_prop),
+            self.p,
+        );
+        let weighted = tape.scalar_mul(global, self.lambda);
+        tape.add(self_view, weighted)
+    }
+}
+
 impl Attacker for Peega {
     fn name(&self) -> &'static str {
         "PEEGA"
     }
 
-    fn attack(&mut self, g: &Graph) -> AttackResult {
-        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
-        let start = Instant::now();
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let cfg = &self.config;
-        assert!(cfg.hops >= 1, "surrogate needs at least one hop");
         assert!(cfg.beta > 0.0, "feature cost must be positive");
         let n = g.num_nodes();
         let budget = budget_for(g, cfg.rate) as f64;
@@ -208,36 +228,10 @@ impl Attacker for Peega {
             budget = budget,
             hops = cfg.hops
         );
-        // The clean H = A_n^l X, computed once. The objective differentiates
-        // through the dense Â on the tape, so PEEGA has nothing for the
-        // incremental engine (DESIGN.md §13) to maintain.
-        let clean_prop = Rc::new(propagate_cached(g, cfg.hops));
-        let eye = Rc::new(DenseMatrix::identity(n));
-        // Objective-node restriction (Sec. V-A3).
-        let obj_nodes = self.objective_node_set(g);
-        assert!(!obj_nodes.is_empty(), "objective node set is empty");
-        let mut row_mask = DenseMatrix::zeros(n, g.feature_dim());
-        for &v in &obj_nodes {
-            for x in row_mask.row_mut(v) {
-                *x = 1.0;
-            }
-        }
-        let row_mask = Rc::new(row_mask);
-        let in_objective: std::collections::HashSet<usize> = obj_nodes.iter().copied().collect();
-        let masked_adj = Rc::new(CsrMatrix::from_triplets(
-            n,
-            n,
-            g.edges().flat_map(|(u, v)| {
-                let mut t = Vec::with_capacity(2);
-                if in_objective.contains(&u) {
-                    t.push((u, v, 1.0));
-                }
-                if in_objective.contains(&v) {
-                    t.push((v, u, 1.0));
-                }
-                t
-            }),
-        ));
+        // The clean H = A_n^l X is computed once. The objective
+        // differentiates through the dense Â on the tape, so PEEGA has
+        // nothing for the incremental engine (DESIGN.md §13) to maintain.
+        let objective = Objective::new(g, &cfg.objective_nodes, cfg.hops, cfg.lambda, cfg.p);
 
         let mut poisoned = g.clone();
         let mut a_hat = g.adjacency_dense();
@@ -280,15 +274,9 @@ impl Attacker for Peega {
             // lint: allow(clock) reason=step timing feeds an obs event, is gated on tracing being enabled, and never branches numerics
             let step_start = bbgnn_obs::enabled().then(Instant::now);
             let mut tape = Tape::with_context(Rc::clone(&ctx));
-            let (obj, a_id, x_id) = self.objective(
-                &mut tape,
-                &a_hat,
-                &x_hat,
-                &clean_prop,
-                &masked_adj,
-                &eye,
-                &row_mask,
-            );
+            let a_id = tape.var(a_hat.clone());
+            let x_id = tape.var(x_hat.clone());
+            let obj = objective.eval(&mut tape, a_id, x_id);
             let obj_value = tape.value(obj).get(0, 0);
             tape.backward(obj);
             // lint: allow(panic) reason=a_id is a tape.var leaf on the path to obj, so backward always populates its gradient
@@ -310,7 +298,7 @@ impl Attacker for Peega {
                     let dir = 1.0 - 2.0 * a_hat.get(u, v);
                     Some((grad_a.get(u, v) + grad_a.get(v, u)) * dir)
                 })
-                .map(|(s, u, v)| (s, Candidate::Edge(u, v)))
+                .map(|(s, u, v)| (s, Flip::Edge(u, v)))
             } else {
                 None
             };
@@ -322,7 +310,7 @@ impl Attacker for Peega {
                     // Normalized by β as in Sec. V-D1: S_f = S_f / β.
                     Some(grad_x.get(v, i) * (1.0 - 2.0 * x_hat.get(v, i)) / cfg.beta)
                 })
-                .map(|(s, v, i)| (s, Candidate::Feature(v, i)))
+                .map(|(s, v, i)| (s, Flip::Feature(v, i)))
             } else {
                 None
             };
@@ -331,8 +319,8 @@ impl Attacker for Peega {
             let best = crate::scan::merge_best(best_edge, best_feat);
             let Some((score, cand)) = best else { break };
             let scan_s = step_start.map_or(f64::NAN, |t| t.elapsed().as_secs_f64());
-            match cand {
-                Candidate::Edge(u, v) => {
+            let (kind, u, v) = match cand {
+                Flip::Edge(u, v) => {
                     touched_edges.insert((u, v));
                     let existed_now = poisoned.has_edge(u, v);
                     poisoned.flip_edge(u, v);
@@ -341,44 +329,30 @@ impl Attacker for Peega {
                     a_hat.set(v, u, new_val);
                     spent += 1.0;
                     bbgnn_obs::counter("attack/edge_flips", 1);
-                    bbgnn_obs::event!(
-                        "peega/perturb",
-                        kind = "edge",
-                        u = u,
-                        v = v,
-                        score = score,
-                        objective = obj_value,
-                        spent = spent,
-                        scan_s = scan_s
-                    );
+                    ("edge", u, v)
                 }
-                Candidate::Feature(v, i) => {
+                Flip::Feature(v, i) => {
                     touched_features.insert((v, i));
                     let new_val = poisoned.flip_feature(v, i);
                     x_hat.set(v, i, new_val);
                     spent += cfg.beta;
                     bbgnn_obs::counter("attack/feature_flips", 1);
-                    bbgnn_obs::event!(
-                        "peega/perturb",
-                        kind = "feature",
-                        u = v,
-                        v = i,
-                        score = score,
-                        objective = obj_value,
-                        spent = spent,
-                        scan_s = scan_s
-                    );
+                    ("feature", v, i)
                 }
-            }
+            };
+            bbgnn_obs::event!(
+                "peega/perturb",
+                kind = kind,
+                u = u,
+                v = v,
+                score = score,
+                objective = obj_value,
+                spent = spent,
+                scan_s = scan_s
+            );
         }
 
-        AttackResult {
-            edge_flips: g.edge_difference(&poisoned),
-            feature_flips: g.feature_difference(&poisoned),
-            elapsed: start.elapsed(),
-            poisoned,
-            truncated,
-        }
+        (poisoned, truncated)
     }
 }
 

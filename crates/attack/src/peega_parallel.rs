@@ -21,15 +21,14 @@
 //! than — the greedy sequential selection, because it scores all flips
 //! jointly instead of conditioning on a fixed prefix.
 
-use crate::peega::{AttackSpace, ObjectiveNodes};
-use crate::{budget_for, AttackResult, Attacker, AttackerNodes};
+use crate::peega::{AttackSpace, Flip, Objective, ObjectiveNodes};
+use crate::{budget_for, Attacker, AttackerNodes};
 use bbgnn_autodiff::Tape;
 use bbgnn_graph::Graph;
-use bbgnn_linalg::{CsrMatrix, DenseMatrix, ExecContext};
+use bbgnn_linalg::{DenseMatrix, ExecContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
-use std::time::Instant;
 
 /// PEEGA-P configuration.
 #[derive(Clone, Debug)]
@@ -106,9 +105,7 @@ impl Attacker for PeegaParallel {
         "PEEGA-P"
     }
 
-    fn attack(&mut self, g: &Graph) -> AttackResult {
-        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
-        let start = Instant::now();
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let cfg = self.config.clone();
         let n = g.num_nodes();
         let d = g.feature_dim();
@@ -119,41 +116,13 @@ impl Attacker for PeegaParallel {
             budget = budget,
             steps = cfg.steps
         );
-        let clean_prop = Rc::new(g.propagate(cfg.hops));
-        let eye = Rc::new(DenseMatrix::identity(n));
+        let objective = Objective::new(g, &cfg.objective_nodes, cfg.hops, cfg.lambda, cfg.p);
         let clean_a = Rc::new(g.adjacency_dense());
         let flip_dir_a = Rc::new(clean_a.map(|a| 1.0 - 2.0 * a));
         let clean_x = Rc::new(g.features.clone());
         let flip_dir_x = Rc::new(clean_x.map(|x| 1.0 - 2.0 * x));
         let attack_topology = cfg.space != AttackSpace::FeatureOnly;
         let attack_features = cfg.space != AttackSpace::TopologyOnly;
-
-        // Objective-node machinery, identical to sequential PEEGA.
-        let obj_nodes: Vec<usize> = match &cfg.objective_nodes {
-            ObjectiveNodes::Train => g.split.train.clone(),
-            ObjectiveNodes::All => (0..n).collect(),
-            ObjectiveNodes::Custom(v) => v.clone(),
-        };
-        let mut row_mask = DenseMatrix::zeros(n, d);
-        for &v in &obj_nodes {
-            row_mask.row_mut(v).iter_mut().for_each(|x| *x = 1.0);
-        }
-        let row_mask = Rc::new(row_mask);
-        let in_obj: std::collections::HashSet<usize> = obj_nodes.iter().copied().collect();
-        let masked_adj = Rc::new(CsrMatrix::from_triplets(
-            n,
-            n,
-            g.edges().flat_map(|(u, v)| {
-                let mut t = Vec::new();
-                if in_obj.contains(&u) {
-                    t.push((u, v, 1.0));
-                }
-                if in_obj.contains(&v) {
-                    t.push((v, u, 1.0));
-                }
-                t
-            }),
-        ));
 
         // Accessibility mask for candidate flips.
         let mut access_a = DenseMatrix::zeros(n, n);
@@ -220,31 +189,7 @@ impl Attacker for PeegaParallel {
             } else {
                 tape.constant((*clean_x).clone())
             };
-            // Def. 3 objective on the relaxed graph.
-            let a_loop = tape.add_const(a_hat, Rc::clone(&eye));
-            let deg = tape.row_sum(a_loop);
-            let dinv = tape.pow_scalar(deg, -0.5);
-            let sr = tape.scale_rows(a_loop, dinv);
-            let an = tape.scale_cols(sr, dinv);
-            let mut h = x_hat;
-            for _ in 0..cfg.hops {
-                h = tape.matmul(an, h);
-            }
-            let diff = tape.sub_const(h, &clean_prop);
-            let masked = tape.hadamard_const(diff, Rc::clone(&row_mask));
-            let self_view = tape.row_lp_norm_sum(masked, cfg.p);
-            let obj = if cfg.lambda != 0.0 {
-                let global = tape.neighbor_lp_norm_sum(
-                    h,
-                    Rc::clone(&masked_adj),
-                    Rc::clone(&clean_prop),
-                    cfg.p,
-                );
-                let w = tape.scalar_mul(global, cfg.lambda);
-                tape.add(self_view, w)
-            } else {
-                self_view
-            };
+            let obj = objective.eval(&mut tape, a_hat, x_hat);
             // Plain gradient ascent on the logits. (Adam's per-coordinate
             // normalization would equalize the growth rate of every
             // consistently-signed coordinate and destroy the edge-vs-
@@ -269,16 +214,7 @@ impl Attacker for PeegaParallel {
         // in ascending band order, so the scored list — and hence the
         // stable sort below and the committed flips — is identical for
         // every worker count.
-        #[derive(Clone, Copy)]
-        enum Flip {
-            Edge(usize, usize),
-            Feature(usize, usize),
-        }
         let pool = ctx.pool();
-        let concat = |mut a: Vec<(f64, Flip)>, mut b: Vec<(f64, Flip)>| {
-            a.append(&mut b);
-            a
-        };
         let mut scored: Vec<(f64, Flip)> = Vec::new();
         if attack_topology {
             let theta = &params[0];
@@ -295,7 +231,7 @@ impl Attacker for PeegaParallel {
                     }
                     out
                 },
-                concat,
+                crate::scan::concat,
             );
             scored.extend(band.unwrap_or_default());
         }
@@ -313,46 +249,35 @@ impl Attacker for PeegaParallel {
                     }
                     out
                 },
-                concat,
+                crate::scan::concat,
             );
             scored.extend(band.unwrap_or_default());
         }
         scored.sort_by(|a, b| b.0.total_cmp(&a.0));
         let mut poisoned = g.clone();
         for &(score, flip) in scored.iter().take(budget) {
-            match flip {
+            let (kind, u, v) = match flip {
                 Flip::Edge(u, v) => {
                     poisoned.flip_edge(u, v);
                     bbgnn_obs::counter("attack/edge_flips", 1);
-                    bbgnn_obs::event!(
-                        "peega_parallel/perturb",
-                        kind = "edge",
-                        u = u,
-                        v = v,
-                        score = score
-                    );
+                    ("edge", u, v)
                 }
                 Flip::Feature(v, i) => {
                     poisoned.flip_feature(v, i);
                     bbgnn_obs::counter("attack/feature_flips", 1);
-                    bbgnn_obs::event!(
-                        "peega_parallel/perturb",
-                        kind = "feature",
-                        u = v,
-                        v = i,
-                        score = score
-                    );
+                    ("feature", v, i)
                 }
-            }
+            };
+            bbgnn_obs::event!(
+                "peega_parallel/perturb",
+                kind = kind,
+                u = u,
+                v = v,
+                score = score
+            );
         }
 
-        AttackResult {
-            edge_flips: g.edge_difference(&poisoned),
-            feature_flips: g.feature_difference(&poisoned),
-            elapsed: start.elapsed(),
-            poisoned,
-            truncated,
-        }
+        (poisoned, truncated)
     }
 }
 

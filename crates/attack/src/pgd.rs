@@ -11,8 +11,8 @@
 //! (the companion MinMax attack in [`crate::minmax`] retrains them
 //! between ascent steps).
 
-use crate::{budget_for, AttackResult, Attacker, AttackerNodes};
-use bbgnn_autodiff::{Tape, TensorId};
+use crate::{budget_for, with_edge_flips, Attacker, AttackerNodes};
+use bbgnn_autodiff::Tape;
 use bbgnn_gnn::gcn::Gcn;
 use bbgnn_gnn::train::TrainConfig;
 use bbgnn_gnn::NodeClassifier;
@@ -21,7 +21,6 @@ use bbgnn_linalg::{CsrMatrix, DenseMatrix, ExecContext};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
-use std::time::Instant;
 
 /// PGD attack configuration.
 #[derive(Clone, Debug)]
@@ -73,41 +72,6 @@ impl PgdAttack {
     pub fn new(config: PgdConfig) -> Self {
         Self { config }
     }
-}
-
-/// Builds the relaxed white-box GCN loss on a tape:
-/// (the argument list mirrors the objective's inputs one-to-one)
-/// `CE(softmax(Â_n relu(Â_n X W₀) W₁), Y_train)` where
-/// `Â = A + (1 − 2A) ∘ S` and the weights are constants.
-/// Returns `(loss, s_id)`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn relaxed_loss(
-    tape: &mut Tape,
-    s_val: &DenseMatrix,
-    clean_a: &Rc<DenseMatrix>,
-    flip_dir: &Rc<DenseMatrix>,
-    eye: &Rc<DenseMatrix>,
-    xw0: &DenseMatrix,
-    w1: &DenseMatrix,
-    labels: &Rc<Vec<usize>>,
-    rows: &Rc<Vec<usize>>,
-) -> (TensorId, TensorId) {
-    let s = tape.var(s_val.clone());
-    let masked = tape.hadamard_const(s, Rc::clone(flip_dir));
-    let a_hat = tape.add_const(masked, Rc::clone(clean_a));
-    let a_loop = tape.add_const(a_hat, Rc::clone(eye));
-    let deg = tape.row_sum(a_loop);
-    let dinv = tape.pow_scalar(deg, -0.5);
-    let scaled = tape.scale_rows(a_loop, dinv);
-    let an = tape.scale_cols(scaled, dinv);
-    let c0 = tape.constant(xw0.clone());
-    let h1 = tape.matmul(an, c0);
-    let h1 = tape.relu(h1);
-    let w1c = tape.constant(w1.clone());
-    let h1w = tape.matmul(h1, w1c);
-    let logits = tape.matmul(an, h1w);
-    let loss = tape.cross_entropy(logits, Rc::clone(labels), Rc::clone(rows));
-    (loss, s)
 }
 
 /// Projects the strict upper triangle of `s` onto
@@ -174,11 +138,7 @@ pub(crate) fn discrete_loss(
     xw0: &DenseMatrix,
     w1: &DenseMatrix,
 ) -> f64 {
-    let mut poisoned = g.clone();
-    for &(u, v) in flips {
-        poisoned.flip_edge(u, v);
-    }
-    let an: CsrMatrix = poisoned.normalized_adjacency();
+    let an: CsrMatrix = with_edge_flips(g, flips.iter().copied()).normalized_adjacency();
     let h1 = an.spmm(xw0).map(|x| x.max(0.0));
     let logits = an.spmm(&h1.matmul(w1));
     // Mean cross-entropy over the train rows (the quantity PGD maximizes).
@@ -238,34 +198,26 @@ pub(crate) fn top_k_flips(s: &DenseMatrix, k: usize) -> Vec<(usize, usize)> {
 }
 
 /// Shared PGD ascent loop; `retrain` is invoked before each ascent step so
-/// MinMax can interleave model minimization. Returns the final flips plus a
-/// flag set when the supervision layer stopped the ascent early (the
+/// MinMax can interleave model minimization. Returns the poisoned graph
+/// plus a flag set when the supervision layer stopped the ascent early (the
 /// discretization then runs on the relaxed `S` accumulated so far).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn pgd_optimize(
     g: &Graph,
-    rate: f64,
-    ascent_steps: usize,
-    lr: f64,
-    sample_trials: usize,
-    attacker_nodes: &AttackerNodes,
-    seed: u64,
+    cfg: &PgdConfig,
     gcn: &mut Gcn,
     mut retrain: impl FnMut(&mut Gcn, &DenseMatrix, usize),
-) -> (Vec<(usize, usize)>, bool) {
+) -> (Graph, bool) {
     let n = g.num_nodes();
-    let budget = budget_for(g, rate);
+    let budget = budget_for(g, cfg.rate);
     let clean_a = Rc::new(g.adjacency_dense());
     let flip_dir = Rc::new(clean_a.map(|a| 1.0 - 2.0 * a));
     let eye = Rc::new(DenseMatrix::identity(n));
-    let labels = Rc::new(g.labels.clone());
-    let rows = Rc::new(g.split.train.clone());
     let mut s = DenseMatrix::zeros(n, n);
     // Shared kernels + workspace arena for every ascent step's tape.
     let ctx = ExecContext::shared_from_env();
 
     let mut truncated = false;
-    for step in 0..ascent_steps {
+    for step in 0..cfg.ascent_steps {
         // Cooperative stop site (DESIGN.md §11): discretize whatever the
         // ascent has produced so far.
         if crate::should_stop("attack/pgd/ascent") {
@@ -273,19 +225,18 @@ pub(crate) fn pgd_optimize(
             break;
         }
         retrain(gcn, &s, step);
-        let w = gcn.weights();
-        assert_eq!(w.len(), 2, "PGD assumes the paper's 2-layer GCN victim");
-        let xw0 = g.features.matmul(&w[0]);
+        // The fixed-weight GCN loss on the relaxed `Â = A + (1 − 2A) ∘ S`.
         let mut tape = Tape::with_context(Rc::clone(&ctx));
-        let (loss, s_id) = relaxed_loss(
-            &mut tape, &s, &clean_a, &flip_dir, &eye, &xw0, &w[1], &labels, &rows,
-        );
+        let s_id = tape.var(s.clone());
+        let masked = tape.hadamard_const(s_id, Rc::clone(&flip_dir));
+        let a_hat = tape.add_const(masked, Rc::clone(&clean_a));
+        let loss = gcn.dense_loss(&mut tape, a_hat, &eye, g);
         tape.backward(loss);
         // lint: allow(panic) reason=s_id is a tape.var leaf on the path to loss, so backward always populates its gradient
         let grad = tape.grad(s_id).expect("perturbation gradient");
-        let step_lr = lr / ((step + 1) as f64).sqrt();
+        let step_lr = cfg.lr / ((step + 1) as f64).sqrt();
         s.axpy(step_lr, grad);
-        mask_inaccessible(&mut s, attacker_nodes);
+        mask_inaccessible(&mut s, &cfg.attacker_nodes);
         project_budget(&mut s, budget as f64);
     }
 
@@ -293,9 +244,9 @@ pub(crate) fn pgd_optimize(
     // highest (fixed-weight) loss.
     let w = gcn.weights();
     let xw0 = g.features.matmul(&w[0]);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut best: Option<(f64, Vec<(usize, usize)>)> = None;
-    for _ in 0..sample_trials.max(1) {
+    for _ in 0..cfg.sample_trials.max(1) {
         let flips = sample_flips(&s, budget, &mut rng);
         if flips.is_empty() {
             continue;
@@ -308,7 +259,7 @@ pub(crate) fn pgd_optimize(
     let flips = best
         .map(|(_, f)| f)
         .unwrap_or_else(|| top_k_flips(&s, budget));
-    (flips, truncated)
+    (with_edge_flips(g, flips), truncated)
 }
 
 impl Attacker for PgdAttack {
@@ -316,36 +267,13 @@ impl Attacker for PgdAttack {
         "PGD"
     }
 
-    fn attack(&mut self, g: &Graph) -> AttackResult {
-        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
-        let start = Instant::now();
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let _span = bbgnn_obs::span!("attack/pgd", nodes = g.num_nodes());
-        let cfg = self.config.clone();
+        let cfg = &self.config;
         // Pre-train the victim once; parameters stay fixed afterwards.
         let mut gcn = Gcn::paper_default(cfg.train.clone());
         gcn.fit(g);
-        let (flips, truncated) = pgd_optimize(
-            g,
-            cfg.rate,
-            cfg.ascent_steps,
-            cfg.lr,
-            cfg.sample_trials,
-            &cfg.attacker_nodes,
-            cfg.seed,
-            &mut gcn,
-            |_, _, _| {},
-        );
-        let mut poisoned = g.clone();
-        for &(u, v) in &flips {
-            poisoned.flip_edge(u, v);
-        }
-        AttackResult {
-            edge_flips: g.edge_difference(&poisoned),
-            feature_flips: 0,
-            elapsed: start.elapsed(),
-            poisoned,
-            truncated,
-        }
+        pgd_optimize(g, cfg, &mut gcn, |_, _, _| {})
     }
 }
 

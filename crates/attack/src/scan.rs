@@ -21,6 +21,13 @@ pub(crate) fn merge_best<T>(a: Option<(f64, T)>, b: Option<(f64, T)>) -> Option<
     }
 }
 
+/// Concatenates two band results in band order: the `map_fold` merge that
+/// keeps a scored list identical for every worker count.
+pub(crate) fn concat<T>(mut a: Vec<T>, mut b: Vec<T>) -> Vec<T> {
+    a.append(&mut b);
+    a
+}
+
 /// Decodes a flattened strict-upper-triangle index `k` (lexicographic over
 /// pairs `(u, v)` with `u < v`) back into its pair. Used to seed each
 /// chunk of the parallel edge scan.

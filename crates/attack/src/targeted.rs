@@ -10,10 +10,9 @@
 //! victims whose prediction a freshly-trained GCN gets wrong afterwards.
 
 use crate::peega::{ObjectiveNodes, Peega, PeegaConfig};
-use crate::{AttackResult, Attacker};
+use crate::Attacker;
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
-use std::time::Instant;
 
 /// Targeted-PEEGA configuration.
 #[derive(Clone, Debug)]
@@ -67,9 +66,7 @@ impl Attacker for TargetedPeega {
         "PEEGA-T"
     }
 
-    fn attack(&mut self, g: &Graph) -> AttackResult {
-        // lint: allow(clock) reason=elapsed wall time is reported in AttackResult and never read back into numerics
-        let start = Instant::now();
+    fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let _span = bbgnn_obs::span!("attack/targeted", nodes = g.num_nodes());
         assert!(
             !self.config.targets.is_empty(),
@@ -94,17 +91,11 @@ impl Attacker for TargetedPeega {
                 objective_nodes: ObjectiveNodes::Custom(vec![t]),
                 ..self.config.base.clone()
             });
-            let r = local.attack(&poisoned);
-            truncated |= r.truncated;
-            poisoned = r.poisoned;
+            let (next, stopped) = local.perturb(&poisoned);
+            truncated |= stopped;
+            poisoned = next;
         }
-        AttackResult {
-            edge_flips: g.edge_difference(&poisoned),
-            feature_flips: g.feature_difference(&poisoned),
-            elapsed: start.elapsed(),
-            poisoned,
-            truncated,
-        }
+        (poisoned, truncated)
     }
 }
 

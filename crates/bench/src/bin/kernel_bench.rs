@@ -403,7 +403,8 @@ fn main() {
     // before the engine existed — rebuild Â_n and recompute the full
     // L-hop propagation. Same bytes either way (the §13 contract), so the
     // speedup column is a pure wall-clock ratio. The repair is serial by
-    // construction, hence the single threads=1 row.
+    // construction, hence the single threads=1 row, and the reference's
+    // SpMM chain runs on one worker too, whatever the process width.
     {
         use bbgnn::linalg::incr::{IncrConfig, IncrNorm, IncrProp};
         // Deterministic Cora-scale random graph (~2 edges per node).
@@ -435,15 +436,16 @@ fn main() {
         let incr_shape = format!("{CORA_N}x{CORA_N}({nnz}nnz) x{CORA_D} L={hops}");
         let (fu, fv) = (17usize, 1000usize); // toggled add/remove each round
         let xref = &xg;
+        let one = ExecContext::new(1);
         let mut ops: Vec<Box<dyn FnMut() + '_>> = Vec::new();
         ops.push(Box::new(move || {
             // Full rescore exactly as Graph::propagate does it after a
             // commit: renormalize, then the L-hop SpMM chain.
             mirror.flip_edge(fu, fv);
             let an = mirror.normalized_csr();
-            let mut h = an.spmm(xref);
+            let mut h = one.spmm(&an, xref);
             for _ in 1..hops {
-                h = an.spmm(&h);
+                h = one.spmm(&an, &h);
             }
             drop(h);
         }));

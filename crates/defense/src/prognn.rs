@@ -148,25 +148,9 @@ impl ProGnn {
         ctx: &Rc<ExecContext>,
         eye: &Rc<DenseMatrix>,
     ) -> DenseMatrix {
-        let w = self.gcn.weights();
         let mut tape = Tape::with_context(Rc::clone(ctx));
         let sv = tape.var(s.clone());
-        let a_loop = tape.add_const(sv, Rc::clone(eye));
-        let deg = tape.row_sum(a_loop);
-        let dinv = tape.pow_scalar(deg, -0.5);
-        let scaled = tape.scale_rows(a_loop, dinv);
-        let an = tape.scale_cols(scaled, dinv);
-        let xw0 = tape.constant(g.features.matmul(&w[0]));
-        let h1 = tape.matmul(an, xw0);
-        let h1 = tape.relu(h1);
-        let w1 = tape.constant(w[1].clone());
-        let hw = tape.matmul(h1, w1);
-        let logits = tape.matmul(an, hw);
-        let loss = tape.cross_entropy(
-            logits,
-            Rc::new(g.labels.clone()),
-            Rc::new(g.split.train.clone()),
-        );
+        let loss = self.gcn.dense_loss(&mut tape, sv, eye, g);
         tape.backward(loss);
         // lint: allow(panic) reason=sv is a tape.var leaf on the path to loss, so backward always populates its gradient
         tape.grad(sv).expect("structure gradient").clone()

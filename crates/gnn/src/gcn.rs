@@ -135,6 +135,41 @@ impl Gcn {
         let an = Rc::new(g.normalized_adjacency());
         self.logits_on(&g.features, &an)
     }
+
+    /// Mean train-split cross-entropy of `softmax(Â_n relu(Â_n X W₀) W₁)`
+    /// on `tape`, where `Â_n` is [`normalize_dense`] of the dense adjacency
+    /// tensor `a` and the trained 2-layer weights are constants — the loss
+    /// the white-box attacks ascend and Pro-GNN descends through `a`.
+    pub fn dense_loss(
+        &self,
+        tape: &mut Tape,
+        a: TensorId,
+        eye: &Rc<DenseMatrix>,
+        g: &Graph,
+    ) -> TensorId {
+        let w = &self.weights;
+        assert_eq!(w.len(), 2, "the dense loss is the paper's 2-layer GCN");
+        let an = normalize_dense(tape, a, eye);
+        let xw0 = tape.constant(g.features.matmul(&w[0]));
+        let h1 = tape.matmul(an, xw0);
+        let h1 = tape.relu(h1);
+        let w1 = tape.constant(w[1].clone());
+        let h1w = tape.matmul(h1, w1);
+        let logits = tape.matmul(an, h1w);
+        let labels = Rc::new(g.labels.clone());
+        tape.cross_entropy(logits, labels, Rc::new(g.split.train.clone()))
+    }
+}
+
+/// The GCN normalization `D^{-1/2}(A + I)D^{-1/2}` of the dense adjacency
+/// tensor `a` on `tape`, differentiable in `a`; `eye` is the `n × n`
+/// identity. The relaxed attacks and Pro-GNN differentiate through it.
+pub fn normalize_dense(tape: &mut Tape, a: TensorId, eye: &Rc<DenseMatrix>) -> TensorId {
+    let a_loop = tape.add_const(a, Rc::clone(eye));
+    let deg = tape.row_sum(a_loop);
+    let dinv = tape.pow_scalar(deg, -0.5);
+    let scaled = tape.scale_rows(a_loop, dinv);
+    tape.scale_cols(scaled, dinv)
 }
 
 impl NodeClassifier for Gcn {

@@ -85,19 +85,9 @@ impl AttackerKind {
         }
     }
 
-    /// Display name (matches [`Attacker::name`]).
+    /// Display name: the built attacker's [`Attacker::name`].
     pub fn name(&self) -> &'static str {
-        match self {
-            AttackerKind::Pgd(_) => "PGD",
-            AttackerKind::MinMax(_) => "MinMax",
-            AttackerKind::Metattack(_) => "Metattack",
-            AttackerKind::GfAttack(_) => "GF-Attack",
-            AttackerKind::Peega(_) => "PEEGA",
-            AttackerKind::Random(_) => "Random",
-            AttackerKind::Dice(_) => "DICE",
-            AttackerKind::PeegaParallel(_) => "PEEGA-P",
-            AttackerKind::TargetedPeega(_) => "PEEGA-T",
-        }
+        self.build().name()
     }
 }
 
@@ -231,18 +221,9 @@ impl DefenderKind {
         }
     }
 
-    /// Display name (matches [`Defender::name`]).
+    /// Display name: the built defender's [`Defender::name`].
     pub fn name(&self) -> String {
-        match self {
-            DefenderKind::Gcn => "GCN".to_string(),
-            DefenderKind::Gat => "GAT".to_string(),
-            DefenderKind::GcnJaccard(_) => "GCN-Jaccard".to_string(),
-            DefenderKind::GcnSvd(_) => "GCN-SVD".to_string(),
-            DefenderKind::Rgcn(_) => "RGCN".to_string(),
-            DefenderKind::ProGnn(_) => "Pro-GNN".to_string(),
-            DefenderKind::SimPGcn(_) => "SimPGCN".to_string(),
-            DefenderKind::Gnat(c) => Gnat::new(c.clone()).name(),
-        }
+        self.build(TrainConfig::default()).name()
     }
 }
 

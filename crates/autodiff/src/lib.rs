@@ -12,7 +12,9 @@
 //! The operation set is exactly what the paper reproduction needs:
 //!
 //! * GCN / linear-GCN forward passes (`matmul`, `spmm`, `relu`, dropout,
-//!   softmax cross-entropy);
+//!   softmax cross-entropy), with a GCN-family first layer multiplying its
+//!   binary features as a constant CSR through `spmm` after
+//!   [`dropout_csr`] drops its stored entries;
 //! * GAT attention on the CSR pattern of `A + I`, with edge-valued
 //!   (`nnz × 1`) tensors: `edge_add_outer`, `leaky_relu`,
 //!   `edge_softmax_rows`, `edge_spmm`, and `concat_cols` for the heads;
@@ -39,8 +41,10 @@
 
 #![deny(missing_docs)]
 
+mod dropout;
 pub mod gradcheck;
 pub mod optim;
 pub mod tape;
 
+pub use dropout::dropout_csr;
 pub use tape::{Tape, TensorId};

@@ -8,6 +8,7 @@
 //! context's workspace arena. From the second epoch of a training loop
 //! onward the tape performs essentially no heap allocation.
 
+use crate::dropout::Mask;
 use bbgnn_linalg::{CsrMatrix, DenseMatrix, ExecContext};
 use std::rc::Rc;
 
@@ -391,22 +392,19 @@ impl Tape {
 
     /// Inverted dropout with keep-scaling baked into the generated mask.
     /// `p` is the drop probability; training determinism comes from `seed`.
+    /// The mask is the one [`dropout_csr`](crate::dropout_csr) applies to
+    /// a sparse input of the same shape, `p` and `seed`.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ p < 1`.
     pub fn dropout(&mut self, a: TensorId, p: f64, seed: u64) -> TensorId {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout probability must be in [0, 1)"
-        );
         let (r, c) = self.shape(a);
-        let mask = if p == 0.0 {
-            DenseMatrix::filled(r, c, 1.0)
-        } else {
-            let u = DenseMatrix::uniform(r, c, 1.0, seed); // U(-1, 1)
-            let keep = 1.0 - p;
-            let scale = 1.0 / keep;
-            // Map U(-1,1) -> keep with probability `keep`.
-            u.map(|x| if (x + 1.0) / 2.0 < keep { scale } else { 0.0 })
-        };
-        let mask = Rc::new(mask);
+        let mut mask = Mask::new(p, seed);
+        let mask = Rc::new(DenseMatrix::from_vec(
+            r,
+            c,
+            (0..r * c).map(|pos| mask.at(pos)).collect(),
+        ));
         let v = self.ctx.binary(&self.nodes[a.0].value, &mask, |x, y| x * y);
         self.push(Op::Dropout(a, mask), v)
     }

@@ -29,8 +29,8 @@ fn main() {
         "feature flips",
     ]);
     for row in AttackRow::paper_rows(cfg.rate).into_iter().skip(1) {
-        let (poisoned, result) = row.poison(&g);
-        let d = edge_diff_breakdown(&g, &poisoned);
+        let result = row.poison(&g);
+        let d = edge_diff_breakdown(&g, result.as_ref().map_or(&g, |r| &r.poisoned));
         table.push_row(vec![
             row.name(),
             d.add_same.to_string(),

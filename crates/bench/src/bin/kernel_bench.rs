@@ -3,7 +3,8 @@
 //! Times the blocked/threaded kernels against their naive references at
 //! graph-relevant sizes (Cora-shaped: `n = 2708`, `d = 1433`, and the
 //! attack cells' 298-node cora-like graph with its 7-class gradient
-//! products; Pro-GNN's exact Jacobi SVD at that graph's size; the start-up
+//! products; the GCN-family input layer, sparse against dense, at both
+//! shapes; Pro-GNN's exact Jacobi SVD at that graph's size; the start-up
 //! and join cost of one two-band pool region) and writes
 //! `BENCH_kernels.json` with GFLOP/s per kernel, shape, and thread count,
 //! plus the host it ran on (`nproc`, AVX2), so future changes have a
@@ -24,11 +25,14 @@
 //! previous `BENCH_kernels.json` (see [`bbgnn_bench::compare`]) and exits
 //! non-zero on a perf regression — this is the CI `perf` job.
 
+use bbgnn::autodiff::{dropout_csr, Tape, TensorId};
+use bbgnn::gnn::gcn::sparse_input;
 use bbgnn::prelude::*;
 use bbgnn_bench::compare;
 use bbgnn_bench::config::ExpConfig;
 use bbgnn_bench::report::Table;
 use bbgnn_scenario::json::Json;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Cora's full-size node count and feature dimension (Table III).
@@ -149,13 +153,13 @@ impl Row {
 #[allow(clippy::too_many_arguments)]
 fn time_kernel(
     rows: &mut Vec<Row>,
-    ctxs: &[ExecContext],
+    ctxs: &[Rc<ExecContext>],
     reps: usize,
     (kernel, shape): (&str, String),
     flops: f64,
     batch: usize,
     mut naive: impl FnMut() -> DenseMatrix,
-    op: impl Fn(&ExecContext) -> DenseMatrix,
+    op: impl Fn(&Rc<ExecContext>) -> DenseMatrix,
 ) {
     let op = &op;
     let mut ops: Vec<Box<dyn FnMut() + '_>> = vec![Box::new(move || {
@@ -185,6 +189,38 @@ fn time_kernel(
     for (ctx, &timing) in ctxs.iter().zip(&secs[1..]) {
         rows.push(row(kernel.to_string(), ctx.threads(), timing));
     }
+}
+
+/// A deterministic binary `n × d` feature matrix with about one entry in
+/// `every` set.
+fn binary_features(n: usize, d: usize, every: usize) -> DenseMatrix {
+    let mut x = DenseMatrix::zeros(n, d);
+    for i in 0..n {
+        for j in 0..d {
+            if (i.wrapping_mul(2654435761) ^ j.wrapping_mul(40503)) % every == 0 {
+                x.set(i, j, 1.0);
+            }
+        }
+    }
+    x
+}
+
+/// `∂W₀` of `Σ g ∘ product(W₀)` on a tape over `ctx`, `product` building
+/// the input layer's `X·W₀` from the weight variable: one epoch's input
+/// layer, forward and backward.
+fn input_layer_grad(
+    ctx: &Rc<ExecContext>,
+    w0: &DenseMatrix,
+    g: &Rc<DenseMatrix>,
+    product: impl FnOnce(&mut Tape, TensorId) -> TensorId,
+) -> DenseMatrix {
+    let mut tape = Tape::with_context(Rc::clone(ctx));
+    let w = tape.var(w0.clone());
+    let hw = product(&mut tape, w);
+    let weighted = tape.hadamard_const(hw, Rc::clone(g));
+    let loss = tape.sum_all(weighted);
+    tape.backward(loss);
+    ctx.alloc_copy(tape.grad(w).expect("W₀ is a variable"))
 }
 
 /// The reference for the `pool_region` row: a region that spawns one
@@ -259,8 +295,16 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
 
-    let reps = cfg.runs.max(5);
-    let ctxs: Vec<ExecContext> = thread_counts.iter().map(|&t| ExecContext::new(t)).collect();
+    // A comparison times at least as many rounds as its baseline did, so
+    // both medians are as stable as each other.
+    let reps = cfg
+        .runs
+        .max(5)
+        .max(baseline.as_ref().map_or(0, |(_, doc)| compare::rounds(doc)));
+    let ctxs: Vec<Rc<ExecContext>> = thread_counts
+        .iter()
+        .map(|&t| Rc::new(ExecContext::new(t)))
+        .collect();
 
     // --- dense matmul chain at the Cora propagation shape -----------------
     // X (n×d) · W (d×h) is the feature-weight product of every GCN forward;
@@ -365,6 +409,46 @@ fn main() {
         || spmm_ref(&s, &x),
         |ctx| ctx.spmm(&s, &x),
     );
+
+    // --- the GCN-family input layer -------------------------------------------
+    // One training epoch's first layer: dropout (p = 0.5) of the binary
+    // features, X·W₀, and ∂W₀ = Xᵀ·G for an upstream gradient G, as every
+    // GCN-family fit runs it (the sparse input: `dropout_csr`, then
+    // `spmm` / `spmm_t` over the stored entries) against the dense chain
+    // it replaced (`constant(X) → dropout → matmul`, ∂W₀ by `matmul_tn`),
+    // same bits (DESIGN.md §7). At Cora's shape and density, and at the
+    // benchmark cell's cora-like graph (scale 0.12). The flop count is the
+    // two products over the stored entries.
+    {
+        let cora_x = binary_features(CORA_N, CORA_D, 77);
+        for (kernel, x, what, batch) in [
+            ("input_layer", &cora_x, "Cora-shaped X", 1),
+            ("input_layer_cell", &cora.features, "cora-like X", 50),
+        ] {
+            let xs = sparse_input(x);
+            let (n, d) = x.shape();
+            let w0 = DenseMatrix::glorot(d, HIDDEN, 8);
+            let g = Rc::new(DenseMatrix::uniform(n, HIDDEN, 1.0, 9));
+            let one = Rc::new(ExecContext::new(1));
+            let dense = |tape: &mut Tape, w: TensorId| {
+                let h = tape.constant(x.clone());
+                let h = tape.dropout(h, 0.5, 10);
+                tape.matmul(h, w)
+            };
+            let sparse =
+                |tape: &mut Tape, w: TensorId| tape.spmm(Rc::new(dropout_csr(&xs, 0.5, 10)), w);
+            time_kernel(
+                &mut rows,
+                &ctxs,
+                reps,
+                (kernel, format!("{n}x{d}({}nnz)x{HIDDEN} {what}", xs.nnz())),
+                (4 * xs.nnz() * HIDDEN) as f64,
+                batch,
+                || input_layer_grad(&one, &w0, &g, dense),
+                |ctx| input_layer_grad(ctx, &w0, &g, sparse),
+            );
+        }
+    }
 
     // --- exact Jacobi SVD at the defend graph's size ----------------------
     // Pro-GNN's nuclear-norm prox is a full one-sided Jacobi solve of its
@@ -530,6 +614,7 @@ fn main() {
             "config".to_string(),
             Json::object([
                 ("max_threads".to_string(), Json::number_usize(max_threads)),
+                ("rounds".to_string(), Json::number_usize(reps)),
                 ("seed".to_string(), Json::number_usize(cfg.seed as usize)),
             ]),
         ),

@@ -62,11 +62,8 @@ fn main() {
             // Poisoning is the expensive shared setup of a row; skip it
             // entirely when resuming past a fully checkpointed row.
             let row_done = keys.iter().all(|k| harness.is_done(k));
-            let (poisoned, result) = if row_done {
-                (g.clone(), None)
-            } else {
-                row.poison(&g)
-            };
+            let result = if row_done { None } else { row.poison(&g) };
+            let poisoned = result.as_ref().map_or(&g, |r| &r.poisoned);
             if let Some(r) = &result {
                 eprintln!(
                     "[{}: {} edge flips, {} feature flips, {:.1}s]",
@@ -84,7 +81,7 @@ fn main() {
                 // format.
                 let job_spec = cfg.job_spec(spec.name(), EvalKind::Accuracy);
                 let job = Job::from_parts(key.as_str(), job_spec, None, col.clone());
-                let value = harness.job(job, &ctx, Some(&poisoned));
+                let value = harness.job(job, &ctx, Some(poisoned));
                 eprintln!("  {} x {} = {value}", row.name(), col.name());
                 cells.push(value);
             }

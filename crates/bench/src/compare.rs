@@ -103,6 +103,18 @@ impl CompareReport {
     }
 }
 
+/// Timing rounds the document's run took (`config.rounds`), or 0 for a
+/// document that predates the field. A comparison times at least this
+/// many, so its medians are no noisier than the baseline's.
+pub fn rounds(doc: &Json) -> usize {
+    doc.as_object()
+        .and_then(|o| o.get("config"))
+        .and_then(Json::as_object)
+        .and_then(|c| c.get("rounds"))
+        .and_then(Json::as_usize)
+        .unwrap_or(0)
+}
+
 /// `"<kernel>@<threads>t"` → (threads, median speedup) for every gated row
 /// of one document. Naive reference rows (`*_naive`, speedup ≡ 1) define
 /// the metric and are never gated themselves.
@@ -270,6 +282,13 @@ mod tests {
         let r = compare_docs(&legacy, &cur, DEFAULT_MIN_RATIO).unwrap();
         assert!(r.passed(), "{}", r.render());
         assert_eq!(r.checked, 1);
+    }
+
+    #[test]
+    fn rounds_come_from_the_config_block() {
+        let doc = Json::parse(r#"{"config": {"rounds": 15}, "results": []}"#).unwrap();
+        assert_eq!(rounds(&doc), 15);
+        assert_eq!(rounds(&Json::parse(r#"{"results": []}"#).unwrap()), 0);
     }
 
     #[test]

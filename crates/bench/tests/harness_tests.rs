@@ -12,9 +12,8 @@ fn one_table_cell_end_to_end() {
         rate: 0.1,
         ..Default::default()
     }));
-    let (poisoned, result) = row.poison(&g);
-    assert!(result.is_some());
-    let cell = evaluate_defender(&DefenderKind::Gcn, &poisoned, 2, 0);
+    let result = row.poison(&g).expect("an attack row runs its attack");
+    let cell = evaluate_defender(&DefenderKind::Gcn, &result.poisoned, 2, 0);
     assert!(cell.mean > 0.2 && cell.mean < 1.0);
 }
 

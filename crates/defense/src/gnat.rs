@@ -23,6 +23,7 @@
 
 use crate::Defender;
 use bbgnn_autodiff::{Tape, TensorId};
+use bbgnn_gnn::gcn::{gcn_layers, sparse_input};
 use bbgnn_gnn::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
@@ -213,39 +214,28 @@ impl Gnat {
         }
     }
 
-    /// Multi-view forward pass with shared weights; returns averaged logits.
+    /// Multi-view forward pass with shared weights; returns averaged
+    /// logits. Each view runs [`gcn_layers`] over the sparse input `x`
+    /// with dropout masks of its own, so each view drops its own CSR of
+    /// `x`.
     fn forward(
         &self,
         tape: &mut Tape,
         weights: &[DenseMatrix],
         views: &[Rc<CsrMatrix>],
-        x: &DenseMatrix,
+        x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
         let ids: Vec<TensorId> = weights.iter().map(|w| tape.var(w.clone())).collect();
-        let dropout = self.config.train.dropout;
+        let p = self.config.train.dropout;
+        let epoch = mode.train_epoch().filter(|_| p > 0.0);
+        let base = self.config.train.seed.wrapping_add(5000);
         let mut view_logits = Vec::with_capacity(views.len());
         for (vi, an) in views.iter().enumerate() {
-            let mut h = tape.constant(x.clone());
-            let last = ids.len() - 1;
-            for (l, &w) in ids.iter().enumerate() {
-                if let (true, Some(epoch)) = (dropout > 0.0, mode.train_epoch()) {
-                    let seed = self
-                        .config
-                        .train
-                        .seed
-                        .wrapping_add(5000)
-                        .wrapping_add((epoch as u64) * 97 + (vi * 13 + l) as u64);
-                    h = tape.dropout(h, dropout, seed);
-                }
-                // lint: allow(check_site) reason=forward builds one epoch's graph; the §11 check sits at the epoch boundary in the train loop
-                let hw = tape.matmul(h, w);
-                h = tape.spmm(Rc::clone(an), hw);
-                if l < last {
-                    h = tape.relu(h);
-                }
-            }
-            view_logits.push(h);
+            // lint: allow(check_site) reason=forward builds one epoch's graph; the §11 check sits at the epoch boundary in the train loop
+            view_logits.push(gcn_layers(tape, &ids, an, x, |l| {
+                epoch.map(|e| (p, base.wrapping_add((e as u64) * 97 + (vi * 13 + l) as u64)))
+            }));
         }
         let mut sum = view_logits[0];
         for &z in &view_logits[1..] {
@@ -259,11 +249,12 @@ impl Gnat {
     pub fn logits(&self, g: &Graph) -> DenseMatrix {
         assert!(!self.weights.is_empty(), "model is not trained");
         let mut tape = Tape::new();
+        let x = sparse_input(&g.features);
         let (out, _) = self.forward(
             &mut tape,
             &self.weights,
             &self.view_adjacencies,
-            &g.features,
+            &x,
             Mode::Eval,
         );
         tape.value(out).clone()
@@ -288,7 +279,7 @@ impl NodeClassifier for Gnat {
             DenseMatrix::glorot(g.feature_dim(), self.config.hidden, seed),
             DenseMatrix::glorot(self.config.hidden, g.num_classes, seed.wrapping_add(1)),
         ];
-        let x = g.features.clone();
+        let x = sparse_input(&g.features);
         let cfg = self.config.train.clone();
         // `g` is the pruned graph when prune_threshold is set, so the graph
         // hash inside the keyed loop already reflects pruning; the knobs

@@ -20,6 +20,7 @@
 
 use crate::Defender;
 use bbgnn_autodiff::{Tape, TensorId};
+use bbgnn_gnn::gcn::sparse_input;
 use bbgnn_gnn::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
@@ -73,22 +74,23 @@ impl Rgcn {
         ]
     }
 
-    /// Builds the forward pass; returns `(logits, ids, Some(kl))` during
-    /// training and `(logits, ids, None)` at inference.
+    /// Builds the forward pass over the sparse input `x`
+    /// ([`sparse_input`]), which both first-layer products multiply through
+    /// `spmm` (RGCN applies no input dropout); returns `(logits, ids,
+    /// Some(kl))` during training and `(logits, ids, None)` at inference.
     fn forward(
         &self,
         tape: &mut Tape,
         params: &[DenseMatrix],
         an: &Rc<CsrMatrix>,
-        x: &DenseMatrix,
+        x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>, Option<TensorId>) {
         let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p.clone())).collect();
-        let xc = tape.constant(x.clone());
-        let xmu = tape.matmul(xc, ids[0]);
+        let xmu = tape.spmm(Rc::clone(x), ids[0]);
         let mu = tape.spmm(Rc::clone(an), xmu);
         let mu = tape.relu(mu);
-        let xsig = tape.matmul(xc, ids[1]);
+        let xsig = tape.spmm(Rc::clone(x), ids[1]);
         let sig = tape.spmm(Rc::clone(an), xsig);
         let sig = tape.relu(sig); // σ² ≥ 0
 
@@ -135,7 +137,7 @@ impl NodeClassifier for Rgcn {
         let _span = bbgnn_obs::span!("defense/rgcn/fit", nodes = g.num_nodes());
         let an = Rc::new(g.normalized_adjacency());
         let mut params = self.init_params(g.feature_dim(), g.num_classes);
-        let x = g.features.clone();
+        let x = sparse_input(&g.features);
         let cfg = self.config.train.clone();
         let salt = || {
             bbgnn_store::Key::new("model/rgcn")
@@ -154,7 +156,8 @@ impl NodeClassifier for Rgcn {
         assert!(!self.params.is_empty(), "model is not trained");
         let an = Rc::new(g.normalized_adjacency());
         let mut tape = Tape::new();
-        let (out, _, _) = self.forward(&mut tape, &self.params, &an, &g.features, Mode::Eval);
+        let x = sparse_input(&g.features);
+        let (out, _, _) = self.forward(&mut tape, &self.params, &an, &x, Mode::Eval);
         tape.value(out).row_argmax()
     }
 }

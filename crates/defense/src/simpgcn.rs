@@ -18,6 +18,7 @@
 
 use crate::Defender;
 use bbgnn_autodiff::{Tape, TensorId};
+use bbgnn_gnn::gcn::sparse_input;
 use bbgnn_gnn::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
@@ -117,19 +118,17 @@ impl SimPGcn {
         )
     }
 
-    /// One gated layer: `s∘(A_n h W) + (1−s)∘(A_f h W) + e∘(h W)`.
-    #[allow(clippy::too_many_arguments)] // one arg per term of the equation
+    /// One gated layer over the projected input `hw = h W`:
+    /// `s∘(A_n hw) + (1−s)∘(A_f hw) + e∘hw`.
     fn gated_layer(
         tape: &mut Tape,
-        h: TensorId,
-        w: TensorId,
+        hw: TensorId,
         an: &Rc<CsrMatrix>,
         af: &Rc<CsrMatrix>,
         s_gate: TensorId,
         s_comp: TensorId,
         e_gate: TensorId,
     ) -> TensorId {
-        let hw = tape.matmul(h, w);
         let p_graph = tape.spmm(Rc::clone(an), hw);
         let p_knn = tape.spmm(Rc::clone(af), hw);
         let g1 = tape.scale_rows(p_graph, s_gate);
@@ -139,6 +138,9 @@ impl SimPGcn {
         tape.add(t, g3)
     }
 
+    /// The forward pass over the sparse input `x` ([`sparse_input`]),
+    /// which the gates and the first layer multiply through `spmm`
+    /// (SimPGCN applies no input dropout).
     #[allow(clippy::too_many_arguments)]
     fn forward(
         &self,
@@ -146,22 +148,22 @@ impl SimPGcn {
         params: &[DenseMatrix],
         an: &Rc<CsrMatrix>,
         af: &Rc<CsrMatrix>,
-        x: &DenseMatrix,
+        x: &Rc<CsrMatrix>,
         ssl: Option<&(Rc<CsrMatrix>, Rc<CsrMatrix>, Rc<DenseMatrix>)>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>, Option<TensorId>) {
         let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p.clone())).collect();
-        let xc = tape.constant(x.clone());
         // Per-node gates from the raw features.
-        let s_lin = tape.matmul(xc, ids[2]);
+        let s_lin = tape.spmm(Rc::clone(x), ids[2]);
         let s_gate = tape.sigmoid(s_lin);
         let neg_s = tape.scalar_mul(s_gate, -1.0);
         let ones = Rc::new(DenseMatrix::filled(x.rows(), 1, 1.0));
         let s_comp = tape.add_const(neg_s, ones);
-        let e_lin = tape.matmul(xc, ids[3]);
+        let e_lin = tape.spmm(Rc::clone(x), ids[3]);
         let e_gate = tape.sigmoid(e_lin);
 
-        let h1 = Self::gated_layer(tape, xc, ids[0], an, af, s_gate, s_comp, e_gate);
+        let xw = tape.spmm(Rc::clone(x), ids[0]);
+        let h1 = Self::gated_layer(tape, xw, an, af, s_gate, s_comp, e_gate);
         let h1 = tape.relu(h1);
         let mut h1d = h1;
         if let (true, Some(epoch)) = (self.config.train.dropout > 0.0, mode.train_epoch()) {
@@ -171,7 +173,8 @@ impl SimPGcn {
                 self.config.train.seed.wrapping_add(60_000 + epoch as u64),
             );
         }
-        let logits = Self::gated_layer(tape, h1d, ids[1], an, af, s_gate, s_comp, e_gate);
+        let hw = tape.matmul(h1d, ids[1]);
+        let logits = Self::gated_layer(tape, hw, an, af, s_gate, s_comp, e_gate);
 
         let reg = match ssl {
             Some((sa, sb, targets)) if mode.is_train() && self.config.ssl_weight > 0.0 => {
@@ -199,7 +202,7 @@ impl NodeClassifier for SimPGcn {
         self.trained_graphs = Some((Rc::clone(&an), Rc::clone(&af)));
         let ssl = self.ssl_pairs(g);
         let mut params = self.init_params(g.feature_dim(), g.num_classes);
-        let x = g.features.clone();
+        let x = sparse_input(&g.features);
         let cfg = self.config.train.clone();
         let salt = || {
             bbgnn_store::Key::new("model/simpgcn")
@@ -221,15 +224,8 @@ impl NodeClassifier for SimPGcn {
         // lint: allow(panic) reason=documented precondition — callers must fit() first
         let (an, af) = self.trained_graphs.as_ref().expect("model is not trained");
         let mut tape = Tape::new();
-        let (out, _, _) = self.forward(
-            &mut tape,
-            &self.params,
-            an,
-            af,
-            &g.features,
-            None,
-            Mode::Eval,
-        );
+        let x = sparse_input(&g.features);
+        let (out, _, _) = self.forward(&mut tape, &self.params, an, af, &x, None, Mode::Eval);
         tape.value(out).row_argmax()
     }
 }

@@ -14,11 +14,13 @@
 //! their gradients are edge-valued (`nnz × 1`) tape tensors, and the
 //! aggregation runs on the SpMM kernels, so no `n × n` buffer is
 //! allocated. The edge ops reproduce the dense masked-attention chain bit
-//! for bit (DESIGN.md §7).
+//! for bit (DESIGN.md §7). The input features enter as one constant CSR,
+//! dropped once per epoch and shared by the hidden heads.
 
+use crate::gcn::sparse_input;
 use crate::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use crate::NodeClassifier;
-use bbgnn_autodiff::{Tape, TensorId};
+use bbgnn_autodiff::{dropout_csr, Tape, TensorId};
 use bbgnn_graph::Graph;
 use bbgnn_linalg::{CsrMatrix, DenseMatrix};
 use std::rc::Rc;
@@ -95,18 +97,17 @@ impl Gat {
         params
     }
 
-    /// One attention head: returns `S(α) (X W)` for the attention weights
-    /// `α` on the stored entries of `mask`.
+    /// One attention head over the projected features `hw = H W`:
+    /// returns `S(α) hw` for the attention weights `α` on the stored
+    /// entries of `mask`.
     fn attention_head(
         &self,
         tape: &mut Tape,
-        h: TensorId,
-        w: TensorId,
+        hw: TensorId,
         a_src: TensorId,
         a_dst: TensorId,
         mask: &Rc<CsrMatrix>,
     ) -> TensorId {
-        let hw = tape.matmul(h, w);
         let src = tape.matmul(hw, a_src); // n × 1
         let dst = tape.matmul(hw, a_dst); // n × 1
         let e = tape.edge_add_outer(src, dst, Rc::clone(mask)); // nnz × 1
@@ -115,29 +116,33 @@ impl Gat {
         tape.edge_spmm(alpha, mask, hw)
     }
 
+    /// The forward pass over the sparse input `x` ([`sparse_input`]):
+    /// every hidden head multiplies the same dropped CSR of `x` by its
+    /// `W_h` through `spmm` ([`dropout_csr`] under [`Mode::Train`]), bit
+    /// for bit the dense `dropout(X) · W_h`.
     fn forward(
         &self,
         tape: &mut Tape,
         params: &[DenseMatrix],
         mask: &Rc<CsrMatrix>,
-        x: &DenseMatrix,
+        x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
         let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p.clone())).collect();
         let dropout = self.config.dropout;
-        let mut h = tape.constant(x.clone());
-        if let (true, Some(epoch)) = (dropout > 0.0, mode.train_epoch()) {
-            h = tape.dropout(
-                h,
+        let x = match (dropout > 0.0, mode.train_epoch()) {
+            (true, Some(epoch)) => Rc::new(dropout_csr(
+                x,
                 dropout,
                 self.config.seed.wrapping_add(7000 + epoch as u64),
-            );
-        }
+            )),
+            _ => Rc::clone(x),
+        };
         let mut head_outputs = Vec::with_capacity(self.heads);
         for hd in 0..self.heads {
-            let out =
-                // lint: allow(check_site) reason=forward builds one epoch's graph; the §11 check sits at the epoch boundary in the train loop
-                self.attention_head(tape, h, ids[3 * hd], ids[3 * hd + 1], ids[3 * hd + 2], mask);
+            // lint: allow(check_site) reason=forward builds one epoch's graph; the §11 check sits at the epoch boundary in the train loop
+            let hw = tape.spmm(Rc::clone(&x), ids[3 * hd]);
+            let out = self.attention_head(tape, hw, ids[3 * hd + 1], ids[3 * hd + 2], mask);
             head_outputs.push(tape.relu(out));
         }
         let mut hidden = tape.concat_cols(&head_outputs);
@@ -149,8 +154,8 @@ impl Gat {
             );
         }
         let base = 3 * self.heads;
-        let logits =
-            self.attention_head(tape, hidden, ids[base], ids[base + 1], ids[base + 2], mask);
+        let hw = tape.matmul(hidden, ids[base]);
+        let logits = self.attention_head(tape, hw, ids[base + 1], ids[base + 2], mask);
         (logits, ids)
     }
 
@@ -164,7 +169,8 @@ impl Gat {
         assert!(!self.params.is_empty(), "model is not trained");
         let mask = Self::attention_mask(g);
         let mut tape = Tape::new();
-        let (out, _) = self.forward(&mut tape, &self.params, &mask, &g.features, Mode::Eval);
+        let x = sparse_input(&g.features);
+        let (out, _) = self.forward(&mut tape, &self.params, &mask, &x, Mode::Eval);
         tape.value(out).clone()
     }
 }
@@ -173,7 +179,7 @@ impl NodeClassifier for Gat {
     fn fit(&mut self, g: &Graph) -> TrainReport {
         let mask = Self::attention_mask(g);
         let mut params = self.init_params(g.feature_dim(), g.num_classes);
-        let x = g.features.clone();
+        let x = sparse_input(&g.features);
         let cfg = self.config.clone();
         let salt = || {
             bbgnn_store::Key::new("model/gat")

@@ -2,7 +2,7 @@
 
 use crate::train::{train_node_classifier, Mode, TrainConfig, TrainReport};
 use crate::NodeClassifier;
-use bbgnn_autodiff::{Tape, TensorId};
+use bbgnn_autodiff::{dropout_csr, Tape, TensorId};
 use bbgnn_graph::Graph;
 use bbgnn_linalg::{CsrMatrix, DenseMatrix};
 use std::rc::Rc;
@@ -60,39 +60,25 @@ impl Gcn {
     }
 
     /// Builds the forward pass on `tape`: registers weights as variables
-    /// and returns `(logits, weight_ids)`. [`Mode::Eval`] disables dropout
-    /// (inference).
+    /// and returns `(logits, weight_ids)`. Dropout applies to the input of
+    /// every layer (as in the reference implementation) under
+    /// [`Mode::Train`] only; `x` is the sparse input of [`gcn_layers`].
     fn forward(
         &self,
         tape: &mut Tape,
         weights: &[DenseMatrix],
         an: &Rc<CsrMatrix>,
-        x: &DenseMatrix,
-        dropout: f64,
+        x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
         let ids: Vec<TensorId> = weights.iter().map(|w| tape.var(w.clone())).collect();
-        let mut h = tape.constant(x.clone());
-        let last = ids.len() - 1;
-        for (l, &w) in ids.iter().enumerate() {
-            // Dropout on the input of every layer (as in the reference
-            // implementation) during training only.
-            if let (true, Some(epoch)) = (dropout > 0.0, mode.train_epoch()) {
-                let seed = self
-                    .config
-                    .seed
-                    .wrapping_add(1000)
-                    .wrapping_add((epoch as u64) * 31 + l as u64);
-                h = tape.dropout(h, dropout, seed);
-            }
-            // lint: allow(check_site) reason=forward builds one epoch's graph; the §11 check sits at the epoch boundary in the train loop
-            let hw = tape.matmul(h, w);
-            h = tape.spmm(Rc::clone(an), hw);
-            if l < last {
-                h = tape.relu(h);
-            }
-        }
-        (h, ids)
+        let p = self.config.dropout;
+        let epoch = mode.train_epoch().filter(|_| p > 0.0);
+        let base = self.config.seed.wrapping_add(1000);
+        let logits = gcn_layers(tape, &ids, an, x, |l| {
+            epoch.map(|e| (p, base.wrapping_add((e as u64) * 31 + l as u64)))
+        });
+        (logits, ids)
     }
 
     /// Trains on `g` but propagates over a caller-supplied (possibly
@@ -101,8 +87,7 @@ impl Gcn {
     pub fn fit_on(&mut self, g: &Graph, an: Rc<CsrMatrix>) -> TrainReport {
         assert_eq!(an.rows(), g.num_nodes(), "adjacency size mismatch");
         let mut weights = self.init_weights(g.feature_dim(), g.num_classes);
-        let dropout = self.config.dropout;
-        let x = g.features.clone();
+        let x = sparse_input(&g.features);
         let cfg = self.config.clone();
         // The adjacency is a caller-supplied input (e.g. GCN-SVD's purified
         // graph), so its content hash must be part of the key: a raw GCN and
@@ -114,7 +99,7 @@ impl Gcn {
         };
         let this = &*self;
         let report = train_node_classifier(&mut weights, g, &cfg, salt, |tape, params, mode| {
-            let (logits, ids) = this.forward(tape, params, &an, &x, dropout, mode);
+            let (logits, ids) = this.forward(tape, params, &an, &x, mode);
             (logits, ids, None)
         });
         self.weights = weights;
@@ -126,7 +111,8 @@ impl Gcn {
     pub fn logits_on(&self, features: &DenseMatrix, an: &Rc<CsrMatrix>) -> DenseMatrix {
         assert!(!self.weights.is_empty(), "model is not trained");
         let mut tape = Tape::new();
-        let (out, _) = self.forward(&mut tape, &self.weights, an, features, 0.0, Mode::Eval);
+        let x = sparse_input(features);
+        let (out, _) = self.forward(&mut tape, &self.weights, an, &x, Mode::Eval);
         tape.value(out).clone()
     }
 
@@ -159,6 +145,44 @@ impl Gcn {
         let labels = Rc::new(g.labels.clone());
         tape.cross_entropy(logits, labels, Rc::new(g.split.train.clone()))
     }
+}
+
+/// The features as the constant CSR a first layer multiplies: every entry
+/// that is not zero, NaN included (DESIGN.md §7, "Sparse input layer").
+pub fn sparse_input(features: &DenseMatrix) -> Rc<CsrMatrix> {
+    Rc::new(CsrMatrix::from_dense_nonzero(features))
+}
+
+/// The GCN layer stack `A_n σ(… σ(A_n X W⁰) …) W^L` over the weight
+/// variables `ids`, with `dropout(l)` the `(probability, seed)` of the
+/// dropout on layer `l`'s input, or `None` for none.
+///
+/// The first layer multiplies the sparse input `x` (see [`sparse_input`])
+/// through `spmm`, its dropout applied to the stored entries by
+/// [`dropout_csr`]: bit for bit the dense `dropout(X) · W⁰` and its `W⁰`
+/// gradient, with no `n × d` tensor on the tape.
+pub fn gcn_layers(
+    tape: &mut Tape,
+    ids: &[TensorId],
+    an: &Rc<CsrMatrix>,
+    x: &Rc<CsrMatrix>,
+    dropout: impl Fn(usize) -> Option<(f64, u64)>,
+) -> TensorId {
+    let x = match dropout(0) {
+        Some((p, seed)) => Rc::new(dropout_csr(x, p, seed)),
+        None => Rc::clone(x),
+    };
+    let mut hw = tape.spmm(x, ids[0]);
+    for (l, &w) in ids.iter().enumerate().skip(1) {
+        // lint: allow(check_site) reason=forward builds one epoch's graph; the §11 check sits at the epoch boundary in the train loop
+        let h = tape.spmm(Rc::clone(an), hw);
+        let mut h = tape.relu(h);
+        if let Some((p, seed)) = dropout(l) {
+            h = tape.dropout(h, p, seed);
+        }
+        hw = tape.matmul(h, w);
+    }
+    tape.spmm(Rc::clone(an), hw)
 }
 
 /// The GCN normalization `D^{-1/2}(A + I)D^{-1/2}` of the dense adjacency

@@ -70,13 +70,27 @@ impl CsrMatrix {
 
     /// Converts a dense matrix to CSR, keeping entries with `|v| > tol`.
     pub fn from_dense(m: &DenseMatrix, tol: f64) -> Self {
+        Self::from_dense_where(m, |v| v.abs() > tol)
+    }
+
+    /// Converts a dense matrix to CSR, keeping every entry that is not
+    /// zero (`+0.0` or `-0.0`), NaN included — the entries a dense product
+    /// with this matrix on the left cannot skip. [`CsrMatrix::from_dense`]
+    /// drops NaN (`NaN.abs() > tol` is false), so it cannot stand in for
+    /// the dense operand of a product.
+    pub fn from_dense_nonzero(m: &DenseMatrix) -> Self {
+        Self::from_dense_where(m, |v| v != 0.0)
+    }
+
+    /// The entries of `m` for which `keep` holds, row-major.
+    fn from_dense_where(m: &DenseMatrix, keep: impl Fn(f64) -> bool) -> Self {
         let mut row_ptr = Vec::with_capacity(m.rows() + 1);
         row_ptr.push(0);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         for i in 0..m.rows() {
             for (j, &v) in m.row(i).iter().enumerate() {
-                if v.abs() > tol {
+                if keep(v) {
                     col_idx.push(j);
                     values.push(v);
                 }
@@ -218,14 +232,25 @@ impl CsrMatrix {
     /// dense product skips when its other operand is not all finite (see
     /// [`crate::kernels::matmul_into`]).
     pub fn without_zeros(&self) -> CsrMatrix {
+        self.map_nonzero(|_, _, v| v)
+    }
+
+    /// `f(i, j, v)` at every stored entry `(i, j, v)`, called in row-major
+    /// order, keeping the results that are not zero (`+0.0` or `-0.0`);
+    /// NaN results stay. Dropout of a sparse input uses it to apply its
+    /// mask at the stored entries only.
+    pub fn map_nonzero(&self, mut f: impl FnMut(usize, usize, f64) -> f64) -> CsrMatrix {
         let mut row_ptr = Vec::with_capacity(self.rows + 1);
         row_ptr.push(0);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
         for i in 0..self.rows {
-            for (j, v) in self.row_iter(i).filter(|&(_, v)| v != 0.0) {
-                col_idx.push(j);
-                values.push(v);
+            for (j, v) in self.row_iter(i) {
+                let y = f(i, j, v);
+                if y != 0.0 {
+                    col_idx.push(j);
+                    values.push(y);
+                }
             }
             row_ptr.push(col_idx.len());
         }

@@ -153,9 +153,9 @@ impl Attacker for Metattack {
 
             // Gradient of the self-training loss w.r.t. the dense adjacency.
             let mut tape = Tape::with_context(Rc::clone(&ctx));
-            let a = tape.var(a_hat.clone());
+            let a = tape.var(&a_hat);
             let an = normalize_dense(&mut tape, a, &eye);
-            let xw = tape.constant(poisoned.features.matmul(w));
+            let xw = tape.constant(&poisoned.features.matmul(w));
             let mut h = xw;
             for _ in 0..cfg.hops {
                 h = tape.matmul(an, h);

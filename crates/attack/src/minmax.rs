@@ -8,52 +8,31 @@
 //! and roughly twice as slow, matching Table VII.
 
 use crate::pgd::{pgd_optimize, top_k_flips, PgdConfig};
-use crate::{budget_for, with_edge_flips, Attacker, AttackerNodes};
+use crate::{budget_for, with_edge_flips, Attacker};
 use bbgnn_gnn::gcn::Gcn;
 use bbgnn_gnn::train::TrainConfig;
 use bbgnn_gnn::NodeClassifier;
 use bbgnn_graph::Graph;
 
-/// MinMax attack configuration.
+/// MinMax attack configuration: PGD's ascent plus the inner retraining.
 #[derive(Clone, Debug)]
 pub struct MinMaxConfig {
-    /// Perturbation rate `r`.
-    pub rate: f64,
-    /// Projected-gradient ascent steps.
-    pub ascent_steps: usize,
-    /// Base ascent learning rate (decayed as `lr / √(t+1)`).
-    pub lr: f64,
-    /// Bernoulli sampling trials for the final discretization.
-    pub sample_trials: usize,
+    /// The projected-gradient ascent and its discretization (rate, steps,
+    /// learning rate, sampling, victim training for the initial fit,
+    /// accessible nodes, seed).
+    pub ascent: PgdConfig,
     /// Retrain the victim every this many ascent steps.
     pub retrain_every: usize,
     /// Epochs per inner retraining.
     pub inner_epochs: usize,
-    /// Victim training configuration (initial fit).
-    pub train: TrainConfig,
-    /// Accessible nodes.
-    pub attacker_nodes: AttackerNodes,
-    /// RNG seed for the sampling phase.
-    pub seed: u64,
 }
 
 impl Default for MinMaxConfig {
     fn default() -> Self {
         Self {
-            rate: 0.1,
-            ascent_steps: 80,
-            lr: 0.5,
-            sample_trials: 20,
+            ascent: PgdConfig::default(),
             retrain_every: 10,
             inner_epochs: 30,
-            train: TrainConfig {
-                epochs: 100,
-                patience: 0,
-                dropout: 0.0,
-                ..Default::default()
-            },
-            attacker_nodes: AttackerNodes::All,
-            seed: 0,
         }
     }
 }
@@ -79,28 +58,18 @@ impl Attacker for MinMaxAttack {
 
     fn perturb(&mut self, g: &Graph) -> (Graph, bool) {
         let _span = bbgnn_obs::span!("attack/minmax", nodes = g.num_nodes());
-        let cfg = self.config.clone();
-        let budget = budget_for(g, cfg.rate);
-        let mut gcn = Gcn::paper_default(cfg.train.clone());
+        let cfg = &self.config;
+        let budget = budget_for(g, cfg.ascent.rate);
+        let mut gcn = Gcn::paper_default(cfg.ascent.train.clone());
         gcn.fit(g);
         let inner_cfg = TrainConfig {
             epochs: cfg.inner_epochs,
             patience: 0,
             dropout: 0.0,
-            ..cfg.train.clone()
+            ..cfg.ascent.train.clone()
         };
         let retrain_every = cfg.retrain_every.max(1);
-        // The ascent and discretization are PGD's, with MinMax's knobs.
-        let ascent = PgdConfig {
-            rate: cfg.rate,
-            ascent_steps: cfg.ascent_steps,
-            lr: cfg.lr,
-            sample_trials: cfg.sample_trials,
-            train: cfg.train.clone(),
-            attacker_nodes: cfg.attacker_nodes.clone(),
-            seed: cfg.seed,
-        };
-        pgd_optimize(g, &ascent, &mut gcn, |victim, s, step| {
+        pgd_optimize(g, &cfg.ascent, &mut gcn, |victim, s, step| {
             if step == 0 || step % retrain_every != 0 {
                 return;
             }
@@ -121,12 +90,14 @@ mod tests {
     fn respects_budget() {
         let g = DatasetSpec::CoraLike.generate(0.05, 81);
         let mut atk = MinMaxAttack::new(MinMaxConfig {
-            rate: 0.1,
-            ascent_steps: 20,
+            ascent: PgdConfig {
+                rate: 0.1,
+                ascent_steps: 20,
+                sample_trials: 5,
+                ..Default::default()
+            },
             retrain_every: 8,
             inner_epochs: 15,
-            sample_trials: 5,
-            ..Default::default()
         });
         let r = atk.attack(&g);
         assert!(r.edge_flips <= budget_for(&g, 0.1));
@@ -136,22 +107,20 @@ mod tests {
 
     #[test]
     fn differs_from_pgd_solution() {
-        use crate::pgd::{PgdAttack, PgdConfig};
+        use crate::pgd::PgdAttack;
         let g = DatasetSpec::CoraLike.generate(0.05, 82);
-        let mut mm = MinMaxAttack::new(MinMaxConfig {
+        let ascent = PgdConfig {
             rate: 0.1,
             ascent_steps: 20,
+            sample_trials: 5,
+            ..Default::default()
+        };
+        let mut mm = MinMaxAttack::new(MinMaxConfig {
+            ascent: ascent.clone(),
             retrain_every: 5,
             inner_epochs: 15,
-            sample_trials: 5,
-            ..Default::default()
         });
-        let mut pgd = PgdAttack::new(PgdConfig {
-            rate: 0.1,
-            ascent_steps: 20,
-            sample_trials: 5,
-            ..Default::default()
-        });
+        let mut pgd = PgdAttack::new(ascent);
         let rm = mm.attack(&g);
         let rp = pgd.attack(&g);
         let em: Vec<_> = rm.poisoned.edges().collect();

@@ -274,8 +274,8 @@ impl Attacker for Peega {
             // lint: allow(clock) reason=step timing feeds an obs event, is gated on tracing being enabled, and never branches numerics
             let step_start = bbgnn_obs::enabled().then(Instant::now);
             let mut tape = Tape::with_context(Rc::clone(&ctx));
-            let a_id = tape.var(a_hat.clone());
-            let x_id = tape.var(x_hat.clone());
+            let a_id = tape.var(&a_hat);
+            let x_id = tape.var(&x_hat);
             let obj = objective.eval(&mut tape, a_id, x_id);
             let obj_value = tape.value(obj).get(0, 0);
             tape.backward(obj);

@@ -165,8 +165,8 @@ impl Attacker for PeegaParallel {
                 break;
             }
             let mut tape = Tape::with_context(Rc::clone(&ctx));
-            let theta_a = tape.var(params[0].clone());
-            let theta_x = tape.var(params[1].clone());
+            let theta_a = tape.var(&params[0]);
+            let theta_x = tape.var(&params[1]);
             // Flip probabilities through the concrete relaxation.
             let make_probs = |tape: &mut Tape, theta, gumbel: &Rc<DenseMatrix>| {
                 let noisy = tape.add_const(theta, Rc::clone(gumbel));
@@ -179,7 +179,7 @@ impl Attacker for PeegaParallel {
                 let delta = tape.hadamard_const(p_a, Rc::clone(&flip_dir_a));
                 tape.add_const(delta, Rc::clone(&clean_a))
             } else {
-                tape.constant((*clean_a).clone())
+                tape.constant(&clean_a)
             };
             let x_hat = if attack_features {
                 let p_x = make_probs(&mut tape, theta_x, &gumbel_x);
@@ -187,7 +187,7 @@ impl Attacker for PeegaParallel {
                 let delta = tape.hadamard_const(p_x, Rc::clone(&flip_dir_x));
                 tape.add_const(delta, Rc::clone(&clean_x))
             } else {
-                tape.constant((*clean_x).clone())
+                tape.constant(&clean_x)
             };
             let obj = objective.eval(&mut tape, a_hat, x_hat);
             // Plain gradient ascent on the logits. (Adam's per-coordinate

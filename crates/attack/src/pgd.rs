@@ -227,7 +227,7 @@ pub(crate) fn pgd_optimize(
         retrain(gcn, &s, step);
         // The fixed-weight GCN loss on the relaxed `Â = A + (1 − 2A) ∘ S`.
         let mut tape = Tape::with_context(Rc::clone(&ctx));
-        let s_id = tape.var(s.clone());
+        let s_id = tape.var(&s);
         let masked = tape.hadamard_const(s_id, Rc::clone(&flip_dir));
         let a_hat = tape.add_const(masked, Rc::clone(&clean_a));
         let loss = gcn.dense_loss(&mut tape, a_hat, &eye, g);

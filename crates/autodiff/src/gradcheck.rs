@@ -19,7 +19,7 @@ pub fn max_gradient_error(
 ) -> f64 {
     // Analytic gradients.
     let mut tape = Tape::new();
-    let ids: Vec<TensorId> = inputs.iter().map(|m| tape.var(m.clone())).collect();
+    let ids: Vec<TensorId> = inputs.iter().map(|m| tape.var(m)).collect();
     let out = f(&mut tape, &ids);
     tape.backward(out);
     let analytic: Vec<DenseMatrix> = ids
@@ -34,7 +34,7 @@ pub fn max_gradient_error(
 
     let eval = |probe: &[DenseMatrix]| -> f64 {
         let mut t = Tape::new();
-        let ids: Vec<TensorId> = probe.iter().map(|m| t.var(m.clone())).collect();
+        let ids: Vec<TensorId> = probe.iter().map(|m| t.var(m)).collect();
         let out = f(&mut t, &ids);
         t.value(out).get(0, 0)
     };

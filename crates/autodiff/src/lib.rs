@@ -9,6 +9,13 @@
 //! the forward computation, calls [`Tape::backward`] on a scalar output,
 //! and reads gradients back with [`Tape::grad`].
 //!
+//! The tape owns its buffers: [`Tape::var`] and [`Tape::constant`] take a
+//! reference and copy it into a buffer its
+//! [`ExecContext`](bbgnn_linalg::ExecContext) lends, every op value and
+//! gradient comes from the same arena, and dropping the tape gives them
+//! all back — so callers never clone into a tape, and the context's peak
+//! (what a `mem` budget reads) counts every tape buffer.
+//!
 //! The operation set is exactly what the paper reproduction needs:
 //!
 //! * GCN / linear-GCN forward passes (`matmul`, `spmm`, `relu`, dropout,

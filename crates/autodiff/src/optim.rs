@@ -123,7 +123,7 @@ mod tests {
         let sgd = Sgd::new(0.1, 0.0);
         for _ in 0..300 {
             let mut t = Tape::new();
-            let x = t.var(params[0].clone());
+            let x = t.var(&params[0]);
             let d = t.sub_const(x, &target);
             let sq = t.hadamard(d, d);
             let loss = t.sum_all(sq);

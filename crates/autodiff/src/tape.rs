@@ -3,10 +3,13 @@
 //!
 //! Every tape carries an [`ExecContext`] (shared via `Rc` across the tapes
 //! of a training run): matrix products run on the context's blocked
-//! multi-threaded kernels, and all forward values, backward deltas, and
-//! gradient buffers are drawn from — and on `Drop` returned to — the
-//! context's workspace arena. From the second epoch of a training loop
-//! onward the tape performs essentially no heap allocation.
+//! multi-threaded kernels, and every node value — leaves included, which
+//! [`Tape::var`] and [`Tape::constant`] copy in — every backward delta and
+//! every gradient buffer is lent by the context's workspace arena and
+//! returned to it on `Drop`. The tape owns its buffers: the arena only
+//! gets back what it lent, and its peak counts all of them. From the
+//! second epoch of a training loop onward the tape performs essentially no
+//! heap allocation.
 
 use crate::dropout::Mask;
 use bbgnn_linalg::{CsrMatrix, DenseMatrix, ExecContext};
@@ -107,8 +110,9 @@ impl Default for Tape {
 }
 
 impl Drop for Tape {
-    /// Returns every node value and gradient buffer to the context's
-    /// workspace so the next tape on the same context reuses them.
+    /// Returns every node value and gradient buffer — each one lent by the
+    /// context — to its workspace, so the next tape on the same context
+    /// reuses them.
     fn drop(&mut self) {
         let ctx = Rc::clone(&self.ctx);
         for node in self.nodes.drain(..) {
@@ -200,15 +204,23 @@ impl Tape {
     }
 
     /// Registers a differentiable leaf (a model parameter or an attack
-    /// variable).
-    pub fn var(&mut self, value: DenseMatrix) -> TensorId {
-        self.push_node(Op::Leaf, value, false)
+    /// variable), copied into a buffer the tape's context lends.
+    pub fn var(&mut self, value: &DenseMatrix) -> TensorId {
+        self.push_node(Op::Leaf, self.ctx.alloc_copy(value), false)
     }
 
-    /// Registers a non-differentiable leaf. Every op computed only from
-    /// constants is itself constant (see the crate docs).
-    pub fn constant(&mut self, value: DenseMatrix) -> TensorId {
-        self.push_node(Op::Leaf, value, true)
+    /// Registers a non-differentiable leaf, copied into a buffer the tape's
+    /// context lends. Every op computed only from constants is itself
+    /// constant (see the crate docs).
+    pub fn constant(&mut self, value: &DenseMatrix) -> TensorId {
+        self.push_node(Op::Leaf, self.ctx.alloc_copy(value), true)
+    }
+
+    /// A `1 × 1` value `x` in a buffer the context lends.
+    fn scalar(&self, x: f64) -> DenseMatrix {
+        let mut v = self.ctx.alloc_zeroed(1, 1);
+        v.set(0, 0, x);
+        v
     }
 
     /// Value of tensor `id`.
@@ -340,28 +352,40 @@ impl Tape {
 
     /// Row sums as an `n × 1` tensor.
     pub fn row_sum(&mut self, a: TensorId) -> TensorId {
-        let sums = self.nodes[a.0].value.row_sums();
-        let n = sums.len();
-        self.push(Op::RowSum(a), DenseMatrix::from_vec(n, 1, sums))
+        let x = &self.nodes[a.0].value;
+        let mut v = self.ctx.alloc_zeroed(x.rows(), 1);
+        for (i, o) in v.as_mut_slice().iter_mut().enumerate() {
+            *o = x.row(i).iter().sum();
+        }
+        self.push(Op::RowSum(a), v)
     }
 
     /// Sum of all entries as a `1 × 1` tensor.
     pub fn sum_all(&mut self, a: TensorId) -> TensorId {
-        let s = self.nodes[a.0].value.sum();
-        self.push(Op::SumAll(a), DenseMatrix::from_vec(1, 1, vec![s]))
+        self.push(Op::SumAll(a), self.scalar(self.nodes[a.0].value.sum()))
     }
 
     /// `y[i][j] = x[i][j] * s[i]`, with `s` an `n × 1` tensor.
     pub fn scale_rows(&mut self, x: TensorId, s: TensorId) -> TensorId {
-        let scales: Vec<f64> = self.nodes[s.0].value.as_slice().to_vec();
-        let v = self.nodes[x.0].value.scale_rows(&scales);
+        let scales = self.nodes[s.0].value.as_slice();
+        let mut v = self.ctx.alloc_copy(&self.nodes[x.0].value);
+        assert_eq!(scales.len(), v.rows(), "scale_rows length mismatch");
+        for (i, &si) in scales.iter().enumerate() {
+            v.row_mut(i).iter_mut().for_each(|y| *y *= si);
+        }
         self.push(Op::ScaleRows(x, s), v)
     }
 
     /// `y[i][j] = x[i][j] * s[j]`, with `s` an `m × 1` tensor.
     pub fn scale_cols(&mut self, x: TensorId, s: TensorId) -> TensorId {
-        let scales: Vec<f64> = self.nodes[s.0].value.as_slice().to_vec();
-        let v = self.nodes[x.0].value.scale_cols(&scales);
+        let scales = self.nodes[s.0].value.as_slice();
+        let mut v = self.ctx.alloc_copy(&self.nodes[x.0].value);
+        assert_eq!(scales.len(), v.cols(), "scale_cols length mismatch");
+        for i in 0..v.rows() {
+            for (y, &sj) in v.row_mut(i).iter_mut().zip(scales) {
+                *y *= sj;
+            }
+        }
         self.push(Op::ScaleCols(x, s), v)
     }
 
@@ -384,10 +408,7 @@ impl Tape {
             loss -= row[labels[r]] - lse;
         }
         loss /= rows.len() as f64;
-        self.push(
-            Op::CrossEntropy(logits, labels, rows),
-            DenseMatrix::from_vec(1, 1, vec![loss]),
-        )
+        self.push(Op::CrossEntropy(logits, labels, rows), self.scalar(loss))
     }
 
     /// Inverted dropout with keep-scaling baked into the generated mask.
@@ -483,7 +504,7 @@ impl Tape {
         assert!(!parts.is_empty(), "concat_cols of nothing");
         let rows = self.shape(parts[0]).0;
         let total: usize = parts.iter().map(|&p| self.shape(p).1).sum();
-        let mut v = DenseMatrix::zeros(rows, total);
+        let mut v = self.ctx.alloc_zeroed(rows, total);
         let mut off = 0;
         for &p in parts {
             let pv = &self.nodes[p.0].value;
@@ -501,7 +522,7 @@ impl Tape {
     pub fn row_lp_norm_sum(&mut self, x: TensorId, p: f64) -> TensorId {
         let xv = &self.nodes[x.0].value;
         let s: f64 = (0..xv.rows()).map(|i| xv.row_lp_norm(i, p)).sum();
-        self.push(Op::RowLpNormSum(x, p), DenseMatrix::from_vec(1, 1, vec![s]))
+        self.push(Op::RowLpNormSum(x, p), self.scalar(s))
     }
 
     /// Scalar `Σ_{(v,u) ∈ E(adj)} ‖x[v,:] − c[u,:]‖_p` — PEEGA's global-view
@@ -535,10 +556,7 @@ impl Tape {
                 s += bbgnn_linalg::dense::lp_norm(&diff, p);
             }
         }
-        self.push(
-            Op::NeighborLpNormSum(x, adj, c, p),
-            DenseMatrix::from_vec(1, 1, vec![s]),
-        )
+        self.push(Op::NeighborLpNormSum(x, adj, c, p), self.scalar(s))
     }
 
     // ----- backward -------------------------------------------------------------
@@ -568,7 +586,7 @@ impl Tape {
         if self.is_const(output) {
             return;
         }
-        self.grads[output.0] = Some(DenseMatrix::from_vec(1, 1, vec![1.0]));
+        self.grads[output.0] = Some(self.scalar(1.0));
         for idx in (0..=output.0).rev() {
             let Some(grad) = self.grads[idx].take() else {
                 continue;
@@ -987,8 +1005,8 @@ mod tests {
     #[test]
     fn matmul_chain_value() {
         let mut t = Tape::new();
-        let a = t.var(DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let b = t.var(DenseMatrix::identity(2));
+        let a = t.var(&DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let b = t.var(&DenseMatrix::identity(2));
         let c = t.matmul(a, b);
         assert_eq!(t.value(c), t.value(a));
     }
@@ -999,8 +1017,8 @@ mod tests {
         let mut t = Tape::new();
         let av = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let bv = DenseMatrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let a = t.var(av.clone());
-        let b = t.var(bv.clone());
+        let a = t.var(&av);
+        let b = t.var(&bv);
         let c = t.matmul(a, b);
         let s = t.sum_all(c);
         t.backward(s);
@@ -1012,8 +1030,8 @@ mod tests {
     #[test]
     fn constants_receive_no_gradient() {
         let mut t = Tape::new();
-        let a = t.var(DenseMatrix::filled(2, 2, 1.0));
-        let c = t.constant(DenseMatrix::filled(2, 2, 3.0));
+        let a = t.var(&DenseMatrix::filled(2, 2, 1.0));
+        let c = t.constant(&DenseMatrix::filled(2, 2, 3.0));
         let h = t.hadamard(a, c);
         let s = t.sum_all(h);
         t.backward(s);
@@ -1024,7 +1042,7 @@ mod tests {
     #[test]
     fn cross_entropy_of_uniform_logits_is_log_k() {
         let mut t = Tape::new();
-        let logits = t.var(DenseMatrix::zeros(3, 4));
+        let logits = t.var(&DenseMatrix::zeros(3, 4));
         let loss = t.cross_entropy(logits, Rc::new(vec![0, 1, 2]), Rc::new(vec![0, 1, 2]));
         assert!((t.value(loss).get(0, 0) - 4.0_f64.ln()).abs() < 1e-12);
     }
@@ -1035,8 +1053,8 @@ mod tests {
     fn masked_softmax_ignores_masked_entries() {
         let mut t = Tape::new();
         let pattern = Rc::new(CsrMatrix::from_triplets(1, 3, [(0, 0, 1.0), (0, 2, 1.0)]));
-        let d = t.var(DenseMatrix::from_rows(&[&[1.0], &[100.0], &[1.0]]));
-        let s = t.constant(DenseMatrix::zeros(1, 1));
+        let d = t.var(&DenseMatrix::from_rows(&[&[1.0], &[100.0], &[1.0]]));
+        let s = t.constant(&DenseMatrix::zeros(1, 1));
         let e = t.edge_add_outer(s, d, Rc::clone(&pattern));
         assert_eq!(t.value(e).as_slice(), &[1.0, 1.0], "only stored entries");
         let y = t.edge_softmax_rows(e, pattern);
@@ -1056,11 +1074,11 @@ mod tests {
             2,
             [(1, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0), (2, 1, 1.0)],
         ));
-        let x = t.var(DenseMatrix::from_rows(&[&[2.0], &[3.0], &[inf], &[inf]]));
+        let x = t.var(&DenseMatrix::from_rows(&[&[2.0], &[3.0], &[inf], &[inf]]));
         let y = t.edge_softmax_rows(x, Rc::clone(&pattern));
         assert!((t.value(y).get(0, 0) + t.value(y).get(1, 0) - 1.0).abs() < 1e-12);
         assert_eq!(&t.value(y).as_slice()[2..], &[0.0, 0.0], "-∞ row");
-        let b = t.constant(DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let b = t.constant(&DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
         let out = t.edge_spmm(y, &pattern, b);
         assert_eq!(t.value(out).row(0), &[0.0, 0.0], "empty row");
         assert_eq!(t.value(out).row(2), &[0.0, 0.0], "-∞ row");
@@ -1076,7 +1094,7 @@ mod tests {
     #[test]
     fn dropout_zero_probability_is_identity() {
         let mut t = Tape::new();
-        let x = t.var(DenseMatrix::uniform(3, 3, 1.0, 1));
+        let x = t.var(&DenseMatrix::uniform(3, 3, 1.0, 1));
         let y = t.dropout(x, 0.0, 0);
         assert_eq!(t.value(y), t.value(x));
     }
@@ -1084,7 +1102,7 @@ mod tests {
     #[test]
     fn dropout_scales_to_preserve_expectation() {
         let mut t = Tape::new();
-        let x = t.var(DenseMatrix::filled(100, 100, 1.0));
+        let x = t.var(&DenseMatrix::filled(100, 100, 1.0));
         let y = t.dropout(x, 0.5, 3);
         let mean = t.value(y).sum() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
@@ -1093,7 +1111,7 @@ mod tests {
     #[test]
     fn backward_twice_resets_gradients() {
         let mut t = Tape::new();
-        let a = t.var(DenseMatrix::filled(2, 2, 2.0));
+        let a = t.var(&DenseMatrix::filled(2, 2, 2.0));
         let s = t.sum_all(a);
         t.backward(s);
         t.backward(s);
@@ -1108,8 +1126,8 @@ mod tests {
     #[test]
     fn concat_cols_values() {
         let mut t = Tape::new();
-        let a = t.var(DenseMatrix::filled(2, 1, 1.0));
-        let b = t.var(DenseMatrix::filled(2, 2, 2.0));
+        let a = t.var(&DenseMatrix::filled(2, 1, 1.0));
+        let b = t.var(&DenseMatrix::filled(2, 2, 2.0));
         let c = t.concat_cols(&[a, b]);
         assert_eq!(t.shape(c), (2, 3));
         assert_eq!(t.value(c).row(0), &[1.0, 2.0, 2.0]);

@@ -61,7 +61,7 @@ fn column(values: &[f64]) -> DenseMatrix {
 /// Backpropagates the upstream gradient `g` (the shape of `y`) through the
 /// tape: `∂ Σ (y ∘ g) / ∂y = 1.0 · g`, which is `g` bit for bit.
 fn backward_from(t: &mut Tape, y: TensorId, g: &DenseMatrix) {
-    let gc = t.constant(g.clone());
+    let gc = t.constant(g);
     let w = t.hadamard(y, gc);
     let loss = t.sum_all(w);
     t.backward(loss);
@@ -104,8 +104,8 @@ fn edge_add_outer_matches_the_dense_outer_sum() {
     let d = [-0.5, 2.0, -0.0, 0.75, -INF];
     for (case, g_edge) in edge_gradients().iter().enumerate() {
         let mut t = Tape::new();
-        let sv = t.var(column(&s));
-        let dv = t.var(column(&d));
+        let sv = t.var(&column(&s));
+        let dv = t.var(&column(&d));
         let y = t.edge_add_outer(sv, dv, Rc::clone(&p));
         backward_from(&mut t, y, &column(g_edge));
 
@@ -171,7 +171,7 @@ fn edge_softmax_rows_matches_the_masked_softmax() {
     for (xc, x_edge) in edge_logits().iter().enumerate() {
         for (gc, g_edge) in edge_gradients().iter().enumerate() {
             let mut t = Tape::new();
-            let x = t.var(column(x_edge));
+            let x = t.var(&column(x_edge));
             let y = t.edge_softmax_rows(x, Rc::clone(&p));
             backward_from(&mut t, y, &column(g_edge));
 
@@ -243,7 +243,7 @@ fn edge_softmax_rows_matches_the_masked_softmax() {
     }
     let y_edge = {
         let mut t = Tape::new();
-        let x = t.var(column(&edge_logits()[0]));
+        let x = t.var(&column(&edge_logits()[0]));
         let y = t.edge_softmax_rows(x, p);
         t.value(y).as_slice().to_vec()
     };
@@ -297,8 +297,8 @@ fn edge_spmm_matches_the_dense_product() {
         for (bc, b) in dense_operands().iter().enumerate() {
             for (gc, g) in gradients.iter().enumerate() {
                 let mut t = Tape::new();
-                let av = t.var(column(alpha));
-                let bv = t.var(b.clone());
+                let av = t.var(&column(alpha));
+                let bv = t.var(b);
                 let y = t.edge_spmm(av, &p, bv);
                 backward_from(&mut t, y, g);
 

@@ -299,7 +299,7 @@ fn grad_through_gat_attention_path() {
         &[m(3, 2, 41), m(2, 1, 42), m(2, 1, 43)],
         1e-4,
         move |t, ids| {
-            let xc = t.constant((*x).clone());
+            let xc = t.constant(&x);
             let hw = t.matmul(xc, ids[0]);
             let src = t.matmul(hw, ids[1]);
             let dst = t.matmul(hw, ids[2]);

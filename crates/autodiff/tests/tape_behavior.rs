@@ -10,7 +10,7 @@ use std::rc::Rc;
 #[test]
 fn values_are_available_immediately() {
     let mut t = Tape::new();
-    let a = t.var(DenseMatrix::filled(2, 2, 3.0));
+    let a = t.var(&DenseMatrix::filled(2, 2, 3.0));
     let b = t.scalar_mul(a, 2.0);
     assert_eq!(t.value(b).get(0, 0), 6.0);
     assert_eq!(t.shape(b), (2, 2));
@@ -19,7 +19,7 @@ fn values_are_available_immediately() {
 #[test]
 fn grad_is_none_before_backward() {
     let mut t = Tape::new();
-    let a = t.var(DenseMatrix::filled(1, 1, 1.0));
+    let a = t.var(&DenseMatrix::filled(1, 1, 1.0));
     assert!(t.grad(a).is_none());
 }
 
@@ -28,7 +28,7 @@ fn gradient_accumulates_over_shared_subexpressions() {
     // f = sum(a ∘ a) => df/da = 2a (a is used twice by the same node).
     let mut t = Tape::new();
     let av = DenseMatrix::from_rows(&[&[2.0, -3.0]]);
-    let a = t.var(av.clone());
+    let a = t.var(&av);
     let sq = t.hadamard(a, a);
     let s = t.sum_all(sq);
     t.backward(s);
@@ -40,7 +40,7 @@ fn diamond_graph_gradients() {
     // f = sum((a+a) ∘ a): df/da = 4a via two paths.
     let mut t = Tape::new();
     let av = DenseMatrix::from_rows(&[&[1.5, 0.5]]);
-    let a = t.var(av.clone());
+    let a = t.var(&av);
     let twice = t.add(a, a);
     let prod = t.hadamard(twice, a);
     let s = t.sum_all(prod);
@@ -52,7 +52,7 @@ fn diamond_graph_gradients() {
 #[should_panic(expected = "backward requires a scalar")]
 fn backward_on_matrix_panics() {
     let mut t = Tape::new();
-    let a = t.var(DenseMatrix::zeros(2, 2));
+    let a = t.var(&DenseMatrix::zeros(2, 2));
     t.backward(a);
 }
 
@@ -60,7 +60,7 @@ fn backward_on_matrix_panics() {
 #[should_panic(expected = "empty row set")]
 fn cross_entropy_without_rows_panics() {
     let mut t = Tape::new();
-    let a = t.var(DenseMatrix::zeros(2, 2));
+    let a = t.var(&DenseMatrix::zeros(2, 2));
     let _ = t.cross_entropy(a, Rc::new(vec![0, 0]), Rc::new(vec![]));
 }
 
@@ -72,7 +72,7 @@ fn relu_then_spmm_composition() {
         2,
         vec![(0, 1, 1.0), (1, 0, 1.0)],
     ));
-    let x = t.var(DenseMatrix::from_rows(&[&[-1.0, 2.0], &[3.0, -4.0]]));
+    let x = t.var(&DenseMatrix::from_rows(&[&[-1.0, 2.0], &[3.0, -4.0]]));
     let r = t.relu(x);
     let y = t.spmm(s, r);
     // spmm swaps rows of relu(x) = [[0,2],[3,0]].
@@ -85,9 +85,9 @@ fn two_layer_gcn_shape_contract() {
     // n=5 nodes, d=4 features, h=3 hidden, k=2 classes.
     let mut t = Tape::new();
     let an = Rc::new(CsrMatrix::from_dense(&DenseMatrix::identity(5), 0.0));
-    let x = t.constant(DenseMatrix::uniform(5, 4, 1.0, 1));
-    let w0 = t.var(DenseMatrix::uniform(4, 3, 1.0, 2));
-    let w1 = t.var(DenseMatrix::uniform(3, 2, 1.0, 3));
+    let x = t.constant(&DenseMatrix::uniform(5, 4, 1.0, 1));
+    let w0 = t.var(&DenseMatrix::uniform(4, 3, 1.0, 2));
+    let w1 = t.var(&DenseMatrix::uniform(3, 2, 1.0, 3));
     let xw = t.matmul(x, w0);
     let h = t.spmm(Rc::clone(&an), xw);
     let h = t.relu(h);
@@ -112,7 +112,7 @@ fn adam_beats_sgd_on_ill_conditioned_quadratic() {
         let sgd = Sgd::new(0.001, 0.0);
         for _ in 0..200 {
             let mut t = Tape::new();
-            let w = t.var(params[0].clone());
+            let w = t.var(&params[0]);
             let sw = t.hadamard_const(w, Rc::clone(&scales));
             let q = t.hadamard(sw, w);
             let loss = t.sum_all(q);
@@ -141,7 +141,7 @@ fn gradcheck_utility_detects_wrong_gradient() {
             // Copy the input's VALUE into a constant: no gradient flows,
             // but finite differences see the change.
             let frozen = t.value(ids[0]).clone();
-            let c = t.constant(frozen);
+            let c = t.constant(&frozen);
             let sq = t.hadamard(c, c);
             t.sum_all(sq)
         },
@@ -155,7 +155,7 @@ fn gradcheck_utility_detects_wrong_gradient() {
 #[test]
 fn dropout_masks_differ_across_seeds() {
     let mut t = Tape::new();
-    let x = t.var(DenseMatrix::filled(10, 10, 1.0));
+    let x = t.var(&DenseMatrix::filled(10, 10, 1.0));
     let a = t.dropout(x, 0.5, 1);
     let b = t.dropout(x, 0.5, 2);
     assert_ne!(t.value(a), t.value(b));
@@ -165,7 +165,7 @@ fn dropout_masks_differ_across_seeds() {
 fn sub_const_matches_manual_subtraction() {
     let mut t = Tape::new();
     let c = DenseMatrix::filled(2, 2, 1.5);
-    let x = t.var(DenseMatrix::filled(2, 2, 5.0));
+    let x = t.var(&DenseMatrix::filled(2, 2, 5.0));
     let y = t.sub_const(x, &c);
     assert_eq!(t.value(y).get(0, 0), 3.5);
 }

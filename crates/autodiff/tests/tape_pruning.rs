@@ -26,9 +26,9 @@ fn locked() -> MutexGuard<'static, ()> {
 fn mixed_graph(t: &mut Tape, consts_as_vars: bool) -> (TensorId, Vec<TensorId>) {
     let leaf = |t: &mut Tape, m: DenseMatrix| {
         if consts_as_vars {
-            t.var(m)
+            t.var(&m)
         } else {
-            t.constant(m)
+            t.constant(&m)
         }
     };
     let x = leaf(t, DenseMatrix::uniform(6, 5, 1.0, 1));
@@ -49,10 +49,10 @@ fn mixed_graph(t: &mut Tape, consts_as_vars: bool) -> (TensorId, Vec<TensorId>) 
         ],
     ));
     let proj = leaf(t, DenseMatrix::uniform(3, 3, 1.0, 5));
-    let w0 = t.var(DenseMatrix::uniform(5, 4, 1.0, 6));
-    let s_cols = t.var(DenseMatrix::uniform(4, 1, 1.0, 7));
-    let w_cat = t.var(DenseMatrix::uniform(8, 3, 1.0, 8));
-    let d = t.var(DenseMatrix::uniform(3, 1, 1.0, 10));
+    let w0 = t.var(&DenseMatrix::uniform(5, 4, 1.0, 6));
+    let s_cols = t.var(&DenseMatrix::uniform(4, 1, 1.0, 7));
+    let w_cat = t.var(&DenseMatrix::uniform(8, 3, 1.0, 8));
+    let d = t.var(&DenseMatrix::uniform(3, 1, 1.0, 10));
     let adj = Rc::new(CsrMatrix::from_triplets(
         6,
         6,
@@ -131,7 +131,8 @@ impl Write for SharedBuf {
 /// with `a` and/or `b` registered as a variable.
 fn backward_products(a_var: bool, b_var: bool) -> BTreeMap<String, u64> {
     let mut t = Tape::with_context(Rc::new(ExecContext::new(1)));
-    let leaf = |t: &mut Tape, var: bool, m: DenseMatrix| if var { t.var(m) } else { t.constant(m) };
+    let leaf =
+        |t: &mut Tape, var: bool, m: DenseMatrix| if var { t.var(&m) } else { t.constant(&m) };
     let a = leaf(&mut t, a_var, DenseMatrix::uniform(9, 6, 1.0, 1));
     let b = leaf(&mut t, b_var, DenseMatrix::uniform(6, 7, 1.0, 2));
     let c = t.matmul(a, b);
@@ -188,9 +189,9 @@ fn backward_of_a_constant_times_a_var_issues_exactly_one_product() {
 fn ops_on_constants_only_get_no_gradient() {
     let _g = locked();
     let mut t = Tape::with_context(Rc::new(ExecContext::new(1)));
-    let c1 = t.constant(DenseMatrix::uniform(4, 3, 1.0, 1));
-    let c2 = t.constant(DenseMatrix::uniform(3, 2, 1.0, 2));
-    let v = t.var(DenseMatrix::uniform(4, 2, 1.0, 3));
+    let c1 = t.constant(&DenseMatrix::uniform(4, 3, 1.0, 1));
+    let c2 = t.constant(&DenseMatrix::uniform(3, 2, 1.0, 2));
+    let v = t.var(&DenseMatrix::uniform(4, 2, 1.0, 3));
     let m = t.matmul(c1, c2);
     let r = t.relu(m);
     let mixed = t.add(r, v);

@@ -110,7 +110,10 @@ fn main() {
         });
         poisons.push(("Metattack".to_string(), meta.attack(&g).poisoned));
         let mut minmax = MinMaxAttack::new(MinMaxConfig {
-            rate: cfg.rate,
+            ascent: PgdConfig {
+                rate: cfg.rate,
+                ..Default::default()
+            },
             ..Default::default()
         });
         poisons.push(("MinMax".to_string(), minmax.attack(&g).poisoned));

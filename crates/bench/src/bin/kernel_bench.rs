@@ -215,7 +215,7 @@ fn input_layer_grad(
     product: impl FnOnce(&mut Tape, TensorId) -> TensorId,
 ) -> DenseMatrix {
     let mut tape = Tape::with_context(Rc::clone(ctx));
-    let w = tape.var(w0.clone());
+    let w = tape.var(w0);
     let hw = product(&mut tape, w);
     let weighted = tape.hadamard_const(hw, Rc::clone(g));
     let loss = tape.sum_all(weighted);
@@ -431,7 +431,7 @@ fn main() {
             let g = Rc::new(DenseMatrix::uniform(n, HIDDEN, 1.0, 9));
             let one = Rc::new(ExecContext::new(1));
             let dense = |tape: &mut Tape, w: TensorId| {
-                let h = tape.constant(x.clone());
+                let h = tape.constant(x);
                 let h = tape.dropout(h, 0.5, 10);
                 tape.matmul(h, w)
             };

@@ -37,4 +37,4 @@
 //! `set_threads` recorded it.
 
 pub use bbgnn_linalg::kernels::{current_threads, default_threads, env_threads};
-pub use bbgnn_linalg::{ExecContext, ThreadPool, Workspace};
+pub use bbgnn_linalg::{ExecContext, ThreadPool};

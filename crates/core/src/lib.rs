@@ -110,6 +110,6 @@ pub mod prelude {
     };
     pub use bbgnn_graph::{Graph, Split};
     pub use bbgnn_linalg::kernels::env_threads;
-    pub use bbgnn_linalg::{CsrMatrix, DenseMatrix, ExecContext, ThreadPool, Workspace};
+    pub use bbgnn_linalg::{CsrMatrix, DenseMatrix, ExecContext, ThreadPool};
     pub use bbgnn_supervise::RunBudget;
 }

@@ -226,7 +226,7 @@ impl Gnat {
         x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
-        let ids: Vec<TensorId> = weights.iter().map(|w| tape.var(w.clone())).collect();
+        let ids: Vec<TensorId> = weights.iter().map(|w| tape.var(w)).collect();
         let p = self.config.train.dropout;
         let epoch = mode.train_epoch().filter(|_| p > 0.0);
         let base = self.config.train.seed.wrapping_add(5000);

@@ -149,7 +149,7 @@ impl ProGnn {
         eye: &Rc<DenseMatrix>,
     ) -> DenseMatrix {
         let mut tape = Tape::with_context(Rc::clone(ctx));
-        let sv = tape.var(s.clone());
+        let sv = tape.var(s);
         let loss = self.gcn.dense_loss(&mut tape, sv, eye, g);
         tape.backward(loss);
         // lint: allow(panic) reason=sv is a tape.var leaf on the path to loss, so backward always populates its gradient

@@ -86,7 +86,7 @@ impl Rgcn {
         x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>, Option<TensorId>) {
-        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p.clone())).collect();
+        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p)).collect();
         let xmu = tape.spmm(Rc::clone(x), ids[0]);
         let mu = tape.spmm(Rc::clone(an), xmu);
         let mu = tape.relu(mu);

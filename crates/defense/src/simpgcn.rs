@@ -152,7 +152,7 @@ impl SimPGcn {
         ssl: Option<&(Rc<CsrMatrix>, Rc<CsrMatrix>, Rc<DenseMatrix>)>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>, Option<TensorId>) {
-        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p.clone())).collect();
+        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p)).collect();
         // Per-node gates from the raw features.
         let s_lin = tape.spmm(Rc::clone(x), ids[2]);
         let s_gate = tape.sigmoid(s_lin);

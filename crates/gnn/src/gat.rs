@@ -128,7 +128,7 @@ impl Gat {
         x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
-        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p.clone())).collect();
+        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p)).collect();
         let dropout = self.config.dropout;
         let x = match (dropout > 0.0, mode.train_epoch()) {
             (true, Some(epoch)) => Rc::new(dropout_csr(

@@ -71,7 +71,7 @@ impl Gcn {
         x: &Rc<CsrMatrix>,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
-        let ids: Vec<TensorId> = weights.iter().map(|w| tape.var(w.clone())).collect();
+        let ids: Vec<TensorId> = weights.iter().map(|w| tape.var(w)).collect();
         let p = self.config.dropout;
         let epoch = mode.train_epoch().filter(|_| p > 0.0);
         let base = self.config.seed.wrapping_add(1000);
@@ -136,10 +136,10 @@ impl Gcn {
         let w = &self.weights;
         assert_eq!(w.len(), 2, "the dense loss is the paper's 2-layer GCN");
         let an = normalize_dense(tape, a, eye);
-        let xw0 = tape.constant(g.features.matmul(&w[0]));
+        let xw0 = tape.constant(&g.features.matmul(&w[0]));
         let h1 = tape.matmul(an, xw0);
         let h1 = tape.relu(h1);
-        let w1 = tape.constant(w[1].clone());
+        let w1 = tape.constant(&w[1]);
         let h1w = tape.matmul(h1, w1);
         let logits = tape.matmul(an, h1w);
         let labels = Rc::new(g.labels.clone());

@@ -61,7 +61,6 @@ impl LinearGcn {
     /// [`NodeClassifier::fit`] when `h` matches `g.propagate(self.hops)`
     /// bitwise.
     pub fn fit_with_propagation(&mut self, g: &Graph, h: &DenseMatrix) -> TrainReport {
-        let h = h.clone();
         let mut params = vec![DenseMatrix::glorot(
             g.feature_dim(),
             g.num_classes,
@@ -70,8 +69,8 @@ impl LinearGcn {
         let cfg = self.config.clone();
         let salt = || bbgnn_store::Key::new("model/linear_gcn").field("hops", self.hops);
         let report = train_node_classifier(&mut params, g, &cfg, salt, |tape, p, _| {
-            let w = tape.var(p[0].clone());
-            let hc = tape.constant(h.clone());
+            let w = tape.var(&p[0]);
+            let hc = tape.constant(h);
             (tape.matmul(hc, w), vec![w], None)
         });
         // lint: allow(panic) reason=params is constructed three lines up with exactly one weight matrix

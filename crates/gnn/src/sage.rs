@@ -69,8 +69,8 @@ impl GraphSage {
         x: &DenseMatrix,
         mode: Mode,
     ) -> (TensorId, Vec<TensorId>) {
-        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p.clone())).collect();
-        let mut h = tape.constant(x.clone());
+        let ids: Vec<TensorId> = params.iter().map(|p| tape.var(p)).collect();
+        let mut h = tape.constant(x);
         for layer in 0..2 {
             if let (true, Some(epoch)) = (self.config.dropout > 0.0, mode.train_epoch()) {
                 let seed = self

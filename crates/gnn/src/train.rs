@@ -423,8 +423,8 @@ mod tests {
             ..Default::default()
         };
         let report = train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, _| {
-            let w = tape.var(p[0].clone());
-            let xc = tape.constant(x.clone());
+            let w = tape.var(&p[0]);
+            let xc = tape.constant(&x);
             let logits = tape.matmul(xc, w);
             (logits, vec![w], None)
         });
@@ -456,8 +456,8 @@ mod tests {
             ..Default::default()
         };
         let report = train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, _| {
-            let w = tape.var(p[0].clone());
-            let xc = tape.constant((*x).clone());
+            let w = tape.var(&p[0]);
+            let xc = tape.constant(&x);
             let logits = tape.matmul(xc, w);
             (logits, vec![w], None)
         });
@@ -483,13 +483,13 @@ mod tests {
             ..Default::default()
         };
         train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, mode| {
-            let w = tape.var(p[0].clone());
-            let xc = tape.constant((*x).clone());
+            let w = tape.var(&p[0]);
+            let xc = tape.constant(&x);
             let logits = tape.matmul(xc, w);
             let reg = mode
                 .train_epoch()
                 .filter(|&e| poison(e))
-                .map(|_| tape.constant(DenseMatrix::filled(1, 1, f64::NAN)));
+                .map(|_| tape.constant(&DenseMatrix::filled(1, 1, f64::NAN)));
             (logits, vec![w], reg)
         })
     }

@@ -23,8 +23,8 @@ fn dense_chain(
     drop: Option<(f64, u64)>,
 ) -> (DenseMatrix, DenseMatrix) {
     let mut tape = Tape::new();
-    let w = tape.var(w0.clone());
-    let mut h = tape.constant(x.clone());
+    let w = tape.var(w0);
+    let mut h = tape.constant(x);
     if let Some((p, seed)) = drop {
         h = tape.dropout(h, p, seed);
     }
@@ -40,7 +40,7 @@ fn sparse_chain(
     drop: Option<(f64, u64)>,
 ) -> (DenseMatrix, DenseMatrix) {
     let mut tape = Tape::new();
-    let w = tape.var(w0.clone());
+    let w = tape.var(w0);
     let xs = sparse_input(x);
     let xs = match drop {
         Some((p, seed)) => Rc::new(dropout_csr(&xs, p, seed)),
@@ -190,7 +190,7 @@ fn dense_dropout_mask_is_pinned() {
     ];
     for (p, seed, want) in pins {
         let mut tape = Tape::new();
-        let ones = tape.var(DenseMatrix::filled(37, 23, 1.0));
+        let ones = tape.var(&DenseMatrix::filled(37, 23, 1.0));
         let masked = tape.dropout(ones, p, seed);
         let got = tape.value(masked).content_hash();
         assert_eq!(got, want, "p {p} seed {seed}: mask hash {got:016x}");

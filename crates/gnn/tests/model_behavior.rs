@@ -115,8 +115,8 @@ fn regularized_training_changes_parameters() {
         };
         let salt = || bbgnn_store::Key::new("model/test");
         train_node_classifier(&mut params, &g, &cfg, salt, |tape, p, _| {
-            let w = tape.var(p[0].clone());
-            let xc = tape.constant(x.clone());
+            let w = tape.var(&p[0]);
+            let xc = tape.constant(&x);
             let logits = tape.matmul(xc, w);
             let reg = if with_reg {
                 // L2 penalty as the extra term.

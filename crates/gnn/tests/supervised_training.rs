@@ -26,8 +26,8 @@ fn fit(cfg: &TrainConfig) -> (bbgnn_gnn::train::TrainReport, Vec<DenseMatrix>) {
     let x = g.features.clone();
     let salt = || bbgnn_store::Key::new("model/test");
     let report = train_node_classifier(&mut params, &g, cfg, salt, |tape, p, _| {
-        let w = tape.var(p[0].clone());
-        let xc = tape.constant(x.clone());
+        let w = tape.var(&p[0]);
+        let xc = tape.constant(&x);
         let logits = tape.matmul(xc, w);
         (logits, vec![w], None)
     });

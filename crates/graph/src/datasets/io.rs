@@ -115,6 +115,12 @@ pub fn load(dir: &Path) -> BbgnnResult<Graph> {
     let n: usize = parse_token(it.next(), &meta_path, "node count")?;
     let classes: usize = parse_token(it.next(), &meta_path, "class count")?;
     let dim: usize = parse_token(it.next(), &meta_path, "feature dim")?;
+    if n.checked_mul(dim).is_none() {
+        return Err(io_err(
+            &meta_path,
+            format!("{n} nodes × feature dim {dim} overflows the feature matrix size"),
+        ));
+    }
 
     let edges_path = dir.join("edges.txt");
     let mut edges = Vec::new();
@@ -126,6 +132,24 @@ pub fn load(dir: &Path) -> BbgnnResult<Graph> {
         let u: usize = parse_token(p.next(), &edges_path, "edge endpoint")?;
         let v: usize = parse_token(p.next(), &edges_path, "edge endpoint")?;
         edges.push((u, v));
+    }
+
+    // The label count bounds the node count before anything of size `n`
+    // is allocated.
+    let labels_path = dir.join("labels.txt");
+    let labels: Vec<usize> = read_file(&labels_path)?
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| parse_token(Some(l.trim()), &labels_path, "label"))
+        .collect::<BbgnnResult<_>>()?;
+    if labels.len() != n {
+        return Err(io_err(
+            &meta_path,
+            format!(
+                "node count {n} differs from the {} labels in labels.txt",
+                labels.len()
+            ),
+        ));
     }
 
     let feats_path = dir.join("features.txt");
@@ -148,13 +172,6 @@ pub fn load(dir: &Path) -> BbgnnResult<Graph> {
         }
         x
     };
-
-    let labels_path = dir.join("labels.txt");
-    let labels: Vec<usize> = read_file(&labels_path)?
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| parse_token(Some(l.trim()), &labels_path, "label"))
-        .collect::<BbgnnResult<_>>()?;
 
     let split_path = dir.join("split.txt");
     let split_text = read_file(&split_path)?;
@@ -273,5 +290,50 @@ mod tests {
             other => panic!("expected DatasetIo, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `meta`, two labels and one feature line into a fresh
+    /// directory, loads it, and returns the message of the `DatasetIo`
+    /// error that must name `meta.txt`.
+    fn meta_refusal(name: &str, meta: &str) -> String {
+        let dir = std::env::temp_dir().join(name);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("meta.txt"), meta).unwrap();
+        fs::write(dir.join("labels.txt"), "0\n1\n").unwrap();
+        fs::write(dir.join("features.txt"), "5\n").unwrap();
+        fs::write(dir.join("edges.txt"), "").unwrap();
+        fs::write(dir.join("split.txt"), "0\n1\n\n").unwrap();
+        let result = load(&dir);
+        let _ = fs::remove_dir_all(&dir);
+        match result {
+            Err(BbgnnError::DatasetIo { path, message }) => {
+                assert!(path.ends_with("meta.txt"), "wrong file named: {path}");
+                message
+            }
+            other => panic!("expected DatasetIo, got {other:?}"),
+        }
+    }
+
+    /// A node count × feature dim past `usize` is a diagnosis, not an
+    /// overflow panic (debug) or an out-of-bounds index into a wrapped,
+    /// empty buffer (release).
+    #[test]
+    fn overflowing_meta_sizes_name_the_file() {
+        let message = meta_refusal("bbgnn_io_meta_overflow", "4294967296 2 4294967296\n");
+        assert!(
+            message.contains("overflows"),
+            "unhelpful message: {message}"
+        );
+    }
+
+    /// A node count the labels do not back is refused before the feature
+    /// matrix (here 800 MB) is allocated.
+    #[test]
+    fn node_count_must_match_the_labels() {
+        let message = meta_refusal("bbgnn_io_meta_labels", "100000 2 1000\n");
+        assert!(
+            message.contains("labels.txt"),
+            "unhelpful message: {message}"
+        );
     }
 }

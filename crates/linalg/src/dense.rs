@@ -375,18 +375,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Scales row `i` of the output by `scales[i]` (i.e. `diag(scales) * self`).
-    pub fn scale_rows(&self, scales: &[f64]) -> DenseMatrix {
-        assert_eq!(scales.len(), self.rows, "scale_rows length mismatch");
-        let mut out = self.clone();
-        for (i, &s) in scales.iter().enumerate() {
-            for v in out.row_mut(i) {
-                *v *= s;
-            }
-        }
-        out
-    }
-
     /// Scales column `j` of the output by `scales[j]` (i.e. `self * diag(scales)`).
     pub fn scale_cols(&self, scales: &[f64]) -> DenseMatrix {
         assert_eq!(scales.len(), self.cols, "scale_cols length mismatch");
@@ -402,11 +390,6 @@ impl DenseMatrix {
     /// Sum of every entry.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
-    }
-
-    /// Per-row sums as a vector of length `rows`.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows).map(|i| self.row(i).iter().sum()).collect()
     }
 
     /// Per-column sums as a vector of length `cols`.
@@ -582,11 +565,8 @@ mod tests {
     }
 
     #[test]
-    fn row_col_scaling() {
+    fn col_scaling() {
         let m = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let r = m.scale_rows(&[2.0, 10.0]);
-        assert_eq!(r.row(0), &[2.0, 4.0]);
-        assert_eq!(r.row(1), &[30.0, 40.0]);
         let c = m.scale_cols(&[2.0, 0.5]);
         assert_eq!(c.row(0), &[2.0, 1.0]);
         assert_eq!(c.row(1), &[6.0, 2.0]);
@@ -596,7 +576,6 @@ mod tests {
     fn reductions() {
         let m = DenseMatrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
         assert_eq!(m.sum(), 6.0);
-        assert_eq!(m.row_sums(), vec![-1.0, 7.0]);
         assert_eq!(m.col_sums(), vec![4.0, 2.0]);
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.argmax(), (1, 1));

@@ -10,12 +10,12 @@
 //!   blocked (tiled) dense products, row-partitioned across a hand-rolled
 //!   scoped [`ThreadPool`] built on `std::thread` only.
 //! * [`spmm_into`] — row-partitioned sparse × dense product.
-//! * [`Workspace`] — a buffer arena keyed by exact length so hot paths
-//!   (autodiff tape epochs, attack candidate loops) reuse allocations
-//!   instead of hitting the global allocator per op.
-//! * [`ExecContext`] — bundles a pool and a workspace; shared via
-//!   `Rc<ExecContext>` through the autodiff tape, GNN training loops, and
-//!   attacker surrogate-gradient loops.
+//! * [`ExecContext`] — bundles a pool and a private workspace arena, keyed
+//!   by exact length, so hot paths (autodiff tape epochs, attack candidate
+//!   loops) reuse allocations instead of hitting the global allocator per
+//!   op; shared via `Rc<ExecContext>` through the autodiff tape, GNN
+//!   training loops, and attacker surrogate-gradient loops. The arena only
+//!   takes back buffers it lent.
 //!
 //! # Determinism contract
 //!
@@ -1118,28 +1118,28 @@ const WORKSPACE_CAP_F64: usize = 32 << 20;
 /// (or [`ExecContext::alloc_zeroed`] clears it). Training loops that
 /// allocate the same tensor shapes every epoch hit the arena from epoch 2
 /// onward.
+///
+/// Ownership rule: the arena takes back only buffers it lent (a
+/// [`take`](Self::take) hit or a [`note_alloc`](Self::note_alloc)ed
+/// miss), so `held + lent` covers every buffer it has handed out and not
+/// dropped, and its peak counts all of them. [`give`](Self::give) asserts
+/// the rule in debug builds.
 #[derive(Debug, Default)]
-pub struct Workspace {
+struct Workspace {
     pools: HashMap<usize, Vec<Vec<f64>>>,
     held: usize,
     /// Elements currently lent out (taken or freshly allocated, not yet
     /// given back). `held + lent` is the arena's total footprint.
     lent: usize,
-    /// Monotonic high-water mark of `held + lent`, in elements. Survives
-    /// [`clear`](Self::clear) so a run's peak is reportable at shutdown.
+    /// Monotonic high-water mark of `held + lent`, in elements.
     peak: usize,
     reuse_hits: usize,
 }
 
 impl Workspace {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Takes a recycled buffer of exactly `len` elements, if one is held.
     /// Contents are stale; the caller must overwrite or zero them.
-    pub fn take(&mut self, len: usize) -> Option<Vec<f64>> {
+    fn take(&mut self, len: usize) -> Option<Vec<f64>> {
         let buf = self.pools.get_mut(&len)?.pop()?;
         self.held -= len;
         self.lent += len;
@@ -1153,7 +1153,7 @@ impl Workspace {
     /// This is the only site where the footprint can grow — a `take` hit
     /// just moves elements from held to lent — so the peak check lives
     /// here and in the obs/supervise bridge it calls.
-    pub fn note_alloc(&mut self, len: usize) {
+    fn note_alloc(&mut self, len: usize) {
         self.lent += len;
         let total = self.held + self.lent;
         if total > self.peak {
@@ -1169,12 +1169,17 @@ impl Workspace {
         }
     }
 
-    /// Returns a buffer to the arena; dropped instead if the retention cap
-    /// would be exceeded or the buffer is empty. Either way the buffer is
-    /// no longer lent.
-    pub fn give(&mut self, buf: Vec<f64>) {
+    /// Returns a lent buffer to the arena; dropped instead if the
+    /// retention cap would be exceeded or the buffer is empty. Either way
+    /// the buffer is no longer lent.
+    fn give(&mut self, buf: Vec<f64>) {
         let len = buf.len();
-        self.lent = self.lent.saturating_sub(len);
+        debug_assert!(
+            len <= self.lent,
+            "workspace: given a {len}-element buffer it never lent ({} lent)",
+            self.lent
+        );
+        self.lent -= len;
         if len == 0 || self.held + len > WORKSPACE_CAP_F64 {
             return;
         }
@@ -1182,27 +1187,10 @@ impl Workspace {
         self.pools.entry(len).or_default().push(buf);
     }
 
-    /// Total `f64` elements currently retained.
-    pub fn held(&self) -> usize {
-        self.held
-    }
-
     /// High-water mark of the arena footprint (retained + lent) in bytes.
     /// Monotonic for the life of the workspace.
-    pub fn peak_bytes(&self) -> usize {
+    fn peak_bytes(&self) -> usize {
         self.peak * std::mem::size_of::<f64>()
-    }
-
-    /// Number of allocations served from recycled buffers so far.
-    pub fn reuse_hits(&self) -> usize {
-        self.reuse_hits
-    }
-
-    /// Drops every retained buffer. The peak is deliberately kept: it
-    /// reports the run's high-water mark, not the current footprint.
-    pub fn clear(&mut self) {
-        self.pools.clear();
-        self.held = 0;
     }
 }
 
@@ -1228,7 +1216,7 @@ impl ExecContext {
     pub fn new(threads: usize) -> Self {
         Self {
             pool: ThreadPool::new(threads),
-            workspace: RefCell::new(Workspace::new()),
+            workspace: RefCell::default(),
         }
     }
 
@@ -1255,11 +1243,12 @@ impl ExecContext {
 
     /// Number of allocations served from the workspace so far.
     pub fn reuse_hits(&self) -> usize {
-        self.workspace.borrow().reuse_hits()
+        self.workspace.borrow().reuse_hits
     }
 
-    /// High-water mark of this context's workspace footprint in bytes
-    /// (see [`Workspace::peak_bytes`]).
+    /// High-water mark of this context's workspace footprint — every
+    /// buffer it has lent, retained or still out — in bytes. Monotonic for
+    /// the life of the context.
     pub fn peak_bytes(&self) -> usize {
         self.workspace.borrow().peak_bytes()
     }
@@ -1289,7 +1278,8 @@ impl ExecContext {
         DenseMatrix::from_vec(src.rows(), src.cols(), buf)
     }
 
-    /// Returns a matrix's buffer to the workspace for reuse.
+    /// Returns a matrix's buffer, which this context must have lent, to
+    /// the workspace for reuse.
     pub fn recycle(&self, m: DenseMatrix) {
         self.workspace.borrow_mut().give(m.into_vec());
     }
@@ -1409,6 +1399,13 @@ mod tests {
         cx.recycle(b);
         cx.recycle(c);
         assert_eq!(cx.peak_bytes(), 1600, "peak is monotonic");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "never lent")]
+    fn giving_back_a_buffer_the_arena_never_lent_trips_the_assertion() {
+        ExecContext::new(1).recycle(DenseMatrix::zeros(3, 3));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * [`eigen`] — cyclic Jacobi eigendecomposition and Lanczos iteration for
 //!   symmetric matrices (GF-Attack spectra).
 //! * [`kernels`] — blocked multi-threaded matmul/SpMM kernels, the scoped
-//!   [`ThreadPool`], the [`Workspace`] buffer arena, and the
-//!   [`ExecContext`] bundle that the autodiff tape and every training /
-//!   attack loop route their products through.
+//!   [`ThreadPool`], and the [`ExecContext`] bundle (pool plus buffer
+//!   arena) that the autodiff tape and every training / attack loop route
+//!   their products and buffers through.
 //!
 //! All routines are deterministic given a seed; randomized algorithms take
 //! an explicit `u64` seed rather than global RNG state. The threaded
@@ -39,7 +39,7 @@ pub mod sparse;
 pub mod svd;
 
 pub use dense::DenseMatrix;
-pub use kernels::{ExecContext, ThreadPool, Workspace};
+pub use kernels::{ExecContext, ThreadPool};
 pub use sparse::CsrMatrix;
 
 /// Numerical tolerance used as a default convergence threshold across the

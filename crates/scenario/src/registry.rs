@@ -120,7 +120,10 @@ pub fn attacker_by_name(name: &str, rate: f64) -> BbgnnResult<AttackerKind> {
             ..Default::default()
         }),
         "MinMax" => AttackerKind::MinMax(MinMaxConfig {
-            rate,
+            ascent: PgdConfig {
+                rate,
+                ..Default::default()
+            },
             ..Default::default()
         }),
         "Metattack" => AttackerKind::Metattack(MetattackConfig {

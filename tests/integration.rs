@@ -42,7 +42,10 @@ fn all_registry_attackers_respect_budget() {
                 ..c
             }),
             AttackerKind::MinMax(c) => AttackerKind::MinMax(MinMaxConfig {
-                ascent_steps: 15,
+                ascent: PgdConfig {
+                    ascent_steps: 15,
+                    ..c.ascent
+                },
                 inner_epochs: 10,
                 ..c
             }),

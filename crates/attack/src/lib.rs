@@ -38,7 +38,10 @@ pub mod random;
 mod scan;
 pub mod targeted;
 
+use bbgnn_autodiff::{Tape, TensorId};
 use bbgnn_graph::Graph;
+use bbgnn_linalg::DenseMatrix;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Which nodes the attacker may touch (Sec. V-E2 / Fig. 7a).
@@ -174,6 +177,31 @@ pub(crate) fn with_edge_flips(g: &Graph, flips: impl IntoIterator<Item = (usize,
         poisoned.flip_edge(u, v);
     }
     poisoned
+}
+
+/// A clean binary matrix `M` and its flip direction `1 − 2M`. A relaxed
+/// flip probability `P ∈ [0, 1]` turns it into `M + (1 − 2M) ∘ P`: `M` at
+/// `P = 0`, every entry flipped at `P = 1`. PGD relaxes `A` this way, and
+/// PEEGA-P relaxes `A` and `X`.
+pub(crate) struct FlipRelaxation {
+    pub(crate) clean: Rc<DenseMatrix>,
+    dir: Rc<DenseMatrix>,
+}
+
+impl FlipRelaxation {
+    pub(crate) fn new(clean: DenseMatrix) -> Self {
+        let dir = Rc::new(clean.map(|m| 1.0 - 2.0 * m));
+        FlipRelaxation {
+            clean: Rc::new(clean),
+            dir,
+        }
+    }
+
+    /// Puts `M + (1 − 2M) ∘ p` on `tape`.
+    pub(crate) fn relax(&self, tape: &mut Tape, p: TensorId) -> TensorId {
+        let delta = tape.hadamard_const(p, Rc::clone(&self.dir));
+        tape.add_const(delta, Rc::clone(&self.clean))
+    }
 }
 
 /// Budget in undirected-edge units for a perturbation `rate`:

@@ -40,7 +40,7 @@ pub enum AttackSpace {
 
 /// Which nodes the Def. 3 sums range over.
 ///
-/// The paper follows Metattack and "compute[s] the objective on training
+/// The paper follows Metattack and "compute\[s\] the objective on training
 /// nodes" (Sec. V-A3): concentrating the representation drift on the
 /// labeled nodes corrupts exactly what the victim learns from, which makes
 /// the poisoning attack markedly stronger than spreading it uniformly.

@@ -22,7 +22,7 @@
 //! jointly instead of conditioning on a fixed prefix.
 
 use crate::peega::{AttackSpace, Flip, Objective, ObjectiveNodes};
-use crate::{budget_for, Attacker, AttackerNodes};
+use crate::{budget_for, Attacker, AttackerNodes, FlipRelaxation};
 use bbgnn_autodiff::Tape;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::{DenseMatrix, ExecContext};
@@ -117,10 +117,8 @@ impl Attacker for PeegaParallel {
             steps = cfg.steps
         );
         let objective = Objective::new(g, &cfg.objective_nodes, cfg.hops, cfg.lambda, cfg.p);
-        let clean_a = Rc::new(g.adjacency_dense());
-        let flip_dir_a = Rc::new(clean_a.map(|a| 1.0 - 2.0 * a));
-        let clean_x = Rc::new(g.features.clone());
-        let flip_dir_x = Rc::new(clean_x.map(|x| 1.0 - 2.0 * x));
+        let relaxed_a = FlipRelaxation::new(g.adjacency_dense());
+        let relaxed_x = FlipRelaxation::new(g.features.clone());
         let attack_topology = cfg.space != AttackSpace::FeatureOnly;
         let attack_features = cfg.space != AttackSpace::TopologyOnly;
 
@@ -176,18 +174,16 @@ impl Attacker for PeegaParallel {
             let a_hat = if attack_topology {
                 let p_a = make_probs(&mut tape, theta_a, &gumbel_a);
                 let p_a = tape.hadamard_const(p_a, Rc::clone(&access_a));
-                let delta = tape.hadamard_const(p_a, Rc::clone(&flip_dir_a));
-                tape.add_const(delta, Rc::clone(&clean_a))
+                relaxed_a.relax(&mut tape, p_a)
             } else {
-                tape.constant(&clean_a)
+                tape.constant(&relaxed_a.clean)
             };
             let x_hat = if attack_features {
                 let p_x = make_probs(&mut tape, theta_x, &gumbel_x);
                 let p_x = tape.hadamard_const(p_x, Rc::clone(&access_x));
-                let delta = tape.hadamard_const(p_x, Rc::clone(&flip_dir_x));
-                tape.add_const(delta, Rc::clone(&clean_x))
+                relaxed_x.relax(&mut tape, p_x)
             } else {
-                tape.constant(&clean_x)
+                tape.constant(&relaxed_x.clean)
             };
             let obj = objective.eval(&mut tape, a_hat, x_hat);
             // Plain gradient ascent on the logits. (Adam's per-coordinate

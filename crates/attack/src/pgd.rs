@@ -11,7 +11,7 @@
 //! (the companion MinMax attack in [`crate::minmax`] retrains them
 //! between ascent steps).
 
-use crate::{budget_for, with_edge_flips, Attacker, AttackerNodes};
+use crate::{budget_for, with_edge_flips, Attacker, AttackerNodes, FlipRelaxation};
 use bbgnn_autodiff::Tape;
 use bbgnn_gnn::gcn::Gcn;
 use bbgnn_gnn::train::TrainConfig;
@@ -209,8 +209,7 @@ pub(crate) fn pgd_optimize(
 ) -> (Graph, bool) {
     let n = g.num_nodes();
     let budget = budget_for(g, cfg.rate);
-    let clean_a = Rc::new(g.adjacency_dense());
-    let flip_dir = Rc::new(clean_a.map(|a| 1.0 - 2.0 * a));
+    let relaxed_a = FlipRelaxation::new(g.adjacency_dense());
     let eye = Rc::new(DenseMatrix::identity(n));
     let mut s = DenseMatrix::zeros(n, n);
     // Shared kernels + workspace arena for every ascent step's tape.
@@ -228,8 +227,7 @@ pub(crate) fn pgd_optimize(
         // The fixed-weight GCN loss on the relaxed `Â = A + (1 − 2A) ∘ S`.
         let mut tape = Tape::with_context(Rc::clone(&ctx));
         let s_id = tape.var(&s);
-        let masked = tape.hadamard_const(s_id, Rc::clone(&flip_dir));
-        let a_hat = tape.add_const(masked, Rc::clone(&clean_a));
+        let a_hat = relaxed_a.relax(&mut tape, s_id);
         let loss = gcn.dense_loss(&mut tape, a_hat, &eye, g);
         tape.backward(loss);
         // lint: allow(panic) reason=s_id is a tape.var leaf on the path to loss, so backward always populates its gradient

@@ -1,7 +1,7 @@
 //! Fig. 6 — accuracy of GCN, Pro-GNN, and GNAT under Metattack and PEEGA
 //! across perturbation rates r ∈ {0, 0.05, 0.1, 0.15, 0.2}, per dataset.
 //!
-//! Series are named [model]+[attack] as in the paper: GCN+M is a GCN
+//! Series are named `[model]+[attack]` as in the paper: GCN+M is a GCN
 //! trained on the Metattack poison graph, GNAT+P is GNAT on the PEEGA
 //! poison graph, and so on.
 //!

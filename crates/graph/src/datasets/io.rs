@@ -15,7 +15,7 @@
 //!
 //! Every failure — unreadable file, malformed line, or a graph that fails
 //! [`validation`](crate::validate) — comes back as a
-//! [`BbgnnError`](bbgnn_errors::BbgnnError) naming the offending file, so
+//! [`BbgnnError`] naming the offending file, so
 //! a truncated dataset directory is a diagnosis, not a panic.
 
 use crate::splits::Split;

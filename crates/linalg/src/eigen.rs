@@ -8,7 +8,7 @@
 //!   adjacency spectrum.
 //!
 //! Both have fallible `try_*` forms returning
-//! [`BbgnnResult`](bbgnn_errors::BbgnnResult). [`try_jacobi_eigen`] turns
+//! [`BbgnnResult`]. [`try_jacobi_eigen`] turns
 //! the sweep budget into a runtime
 //! [`ConvergenceFailure`](bbgnn_errors::BbgnnError::ConvergenceFailure)
 //! check; [`try_lanczos_topk`] validates the Ritz residuals
@@ -152,7 +152,7 @@ const LANCZOS_MAX_ATTEMPTS: usize = 3;
 /// `min(n, max(3k, k + 30))`. After each run the Ritz residuals
 /// `‖A v − λ v‖ / max(|λ|, 1)` are validated; a failing run is restarted
 /// with a perturbed start vector and a doubled Krylov space (up to
-/// [`LANCZOS_MAX_ATTEMPTS`] attempts) before
+/// `LANCZOS_MAX_ATTEMPTS` attempts) before
 /// [`BbgnnError::ConvergenceFailure`] reports the best residual reached.
 /// Deterministic given `seed` (restart seeds are derived from it).
 ///

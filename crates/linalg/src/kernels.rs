@@ -686,7 +686,7 @@ fn tile_block<'a, const SKIP: bool>(
 /// [`matmul_ref`] for every thread count: per output element the `k`
 /// accumulation runs in ascending order. When `b` is all finite the
 /// reference's `aik == 0.0` skip is dropped — a bitwise no-op by the
-/// argument at [`all_finite`], and a branch real inputs (mostly-zero
+/// argument at `all_finite`, and a branch real inputs (mostly-zero
 /// features) mispredict; a non-finite `b` keeps the skipping loop, so
 /// `0 · inf` never turns into a NaN the reference would not produce.
 ///
@@ -1451,28 +1451,47 @@ mod tests {
     /// region (and possibly after the enclosing span or the trace) closed.
     #[test]
     fn worker_counters_are_drained_when_a_region_returns() {
-        use bbgnn_obs::live;
-        let count = || {
-            live::snapshot()
-                .into_iter()
-                .find(|&(name, _)| name == "test/pool_band")
-                .map_or(0, |(_, v)| v)
+        use std::sync::{Arc, Mutex};
+        #[derive(Clone, Default)]
+        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf = SharedBuf::default();
+        // The total of the `test/pool_band` counter records in the trace.
+        let count = || -> u64 {
+            String::from_utf8_lossy(&buf.0.lock().unwrap())
+                .lines()
+                .filter(|l| l.contains("\"t\":\"ctr\",\"name\":\"test/pool_band\""))
+                .filter_map(|l| {
+                    l.split("\"add\":")
+                        .nth(1)?
+                        .trim_end_matches('}')
+                        .parse::<u64>()
+                        .ok()
+                })
+                .sum()
         };
-        live::enable();
+        bbgnn_obs::init_to_writer(Box::new(buf.clone()));
         let pool = ThreadPool::new(2);
         let mut out = vec![0.0; 16];
-        let before = count();
         for region in 1..=200u64 {
             pool.for_each_row_band(&mut out, 8, true, |_, _| {
                 bbgnn_obs::counter("test/pool_band", 1)
             });
             assert_eq!(
-                count() - before,
+                count(),
                 2 * region,
                 "region {region}: a worker drained after the region returned"
             );
         }
-        live::disable();
+        bbgnn_obs::shutdown();
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   approximation is needed.
 //!
 //! Every solver has a fallible `try_*` form returning
-//! [`BbgnnResult`](bbgnn_errors::BbgnnResult): non-finite input is rejected
+//! [`BbgnnResult`]: non-finite input is rejected
 //! as [`NumericalDivergence`](bbgnn_errors::BbgnnError::NumericalDivergence)
 //! and a sweep budget that runs dry surfaces as
 //! [`ConvergenceFailure`](bbgnn_errors::BbgnnError::ConvergenceFailure)

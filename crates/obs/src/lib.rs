@@ -18,17 +18,15 @@
 //! * **Kernel timers** ([`kernel_timer`]) — per-kernel call-count and
 //!   wall-time aggregates cheap enough for the matmul/SpMM hot paths
 //!   (one `HashMap` bump per call; no record per call).
-//! * **Live mirror** ([`live`]) — an opt-in process-wide mirror of
-//!   counter totals for in-process progress snapshots (`bbgnn-serve`
-//!   polls it); works with or without a trace sink and never changes
-//!   what the sink receives.
 //!
 //! ## Overhead contract
 //!
 //! Tracing is **disabled by default** and every entry point first performs
-//! a single relaxed atomic load. Disabled, a span is a no-op struct, an
-//! event macro short-circuits before evaluating its fields, and a kernel
-//! timer never reads the clock — the instrumented kernels regress by well
+//! a single relaxed atomic load. Attaching a sink ([`init_to_writer`]) is
+//! the only thing that turns it on, and [`shutdown`] turns it off.
+//! Disabled, a span is a no-op struct, an event macro short-circuits
+//! before evaluating its fields, and a kernel timer never reads the
+//! clock — the instrumented kernels regress by well
 //! under the 3% budget (CI enforces this against `BENCH_kernels.json`).
 //! Tracing **observes only**: enabling it never changes a result byte.
 //!
@@ -59,31 +57,16 @@
 #![deny(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Fast-path gate: one relaxed load decides every entry point. Derived —
-/// true iff sink-backed tracing ([`TRACE_ON`]) or the live mirror
-/// ([`LIVE`]) is on; [`recompute_gate`] keeps it in sync.
+/// Fast-path gate: one relaxed load decides every entry point. True while
+/// a sink is attached: [`init_to_writer`] sets it, [`shutdown`] clears it.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Sink-backed tracing requested ([`init_to_writer`] / [`shutdown`]).
-static TRACE_ON: AtomicBool = AtomicBool::new(false);
-/// Live-mirror requested ([`live::enable`] / [`live::disable`]).
-static LIVE: AtomicBool = AtomicBool::new(false);
-/// Process-wide counter totals mirrored for [`live::snapshot`].
-static LIVE_TOTALS: Mutex<BTreeMap<&'static str, u64>> = Mutex::new(BTreeMap::new());
-
-/// Re-derives the fast-path gate from the two opt-in switches.
-fn recompute_gate() {
-    ENABLED.store(
-        TRACE_ON.load(Ordering::SeqCst) || LIVE.load(Ordering::SeqCst),
-        Ordering::SeqCst,
-    );
-}
 /// Bumped on every (re)init/shutdown so guards outliving a sink stay quiet.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 /// Process-unique span ids; 0 is reserved for "no span".
@@ -222,18 +205,9 @@ impl ThreadState {
     }
 
     /// Emits `ctr` records for every non-zero aggregate and clears them.
-    /// When the live mirror is on, the counter totals are additionally
-    /// folded into [`LIVE_TOTALS`] — the record bytes are unchanged.
     fn drain_counters(&mut self) {
         if self.counters.is_empty() && self.kernels.is_empty() {
             return;
-        }
-        if LIVE.load(Ordering::Relaxed) && !self.counters.is_empty() {
-            if let Ok(mut totals) = LIVE_TOTALS.lock() {
-                for (name, add) in &self.counters {
-                    *totals.entry(name).or_insert(0) += add;
-                }
-            }
         }
         let mut lines = String::new();
         // Deterministic order keeps traces easy to diff.
@@ -309,8 +283,7 @@ pub fn init_to_writer(out: Box<dyn Write + Send>) {
     }
     EPOCH.get_or_init(Instant::now);
     GENERATION.fetch_add(1, Ordering::SeqCst);
-    TRACE_ON.store(true, Ordering::SeqCst);
-    recompute_gate();
+    ENABLED.store(true, Ordering::SeqCst);
 }
 
 /// Opens (truncating) `path` as the JSONL trace sink and enables tracing.
@@ -337,69 +310,13 @@ pub fn flush() {
     }
 }
 
-/// Flushes, disables sink-backed tracing, and closes the sink. The live
-/// mirror (if on) stays on: a server can stop writing a trace file without
-/// losing its progress counters.
+/// Flushes, disables tracing, and closes the sink.
 pub fn shutdown() {
     flush();
-    TRACE_ON.store(false, Ordering::SeqCst);
-    recompute_gate();
+    ENABLED.store(false, Ordering::SeqCst);
     GENERATION.fetch_add(1, Ordering::SeqCst);
     if let Ok(mut guard) = SINK.lock() {
         *guard = None;
-    }
-}
-
-/// Opt-in in-process mirror of counter totals, for live progress
-/// snapshots (the `bbgnn-serve` `GET /jobs/:id` endpoint reads it).
-///
-/// While enabled, every counter drain additionally folds the drained
-/// totals into a process-wide map; [`snapshot`](live::snapshot) returns
-/// the accumulated totals sorted by name. The mirror works with or
-/// without a trace sink — enabling it turns the counter entry points on
-/// (spans/events stay byte-identical when a sink *is* attached; without
-/// one their records are formatted and dropped). Off (the default) it
-/// costs nothing: the fast-path gate stays a single relaxed load.
-pub mod live {
-    use super::*;
-
-    /// Turns the mirror on. Totals accumulate from this point.
-    pub fn enable() {
-        LIVE.store(true, Ordering::SeqCst);
-        recompute_gate();
-    }
-
-    /// Turns the mirror off and clears the accumulated totals.
-    pub fn disable() {
-        LIVE.store(false, Ordering::SeqCst);
-        recompute_gate();
-        reset();
-    }
-
-    /// Clears the accumulated totals (the mirror stays on if it was on).
-    pub fn reset() {
-        if let Ok(mut totals) = LIVE_TOTALS.lock() {
-            totals.clear();
-        }
-    }
-
-    /// Drains the calling thread's pending counter aggregates (exactly as
-    /// [`flush`](super::flush) would) and returns every mirrored total,
-    /// sorted by counter name. Counters bumped on *other* live threads
-    /// appear once those threads drain — at their outermost span close,
-    /// thread exit, or their own `flush`.
-    pub fn snapshot() -> Vec<(&'static str, u64)> {
-        if LIVE.load(Ordering::Relaxed) {
-            TLS.with(|tls| {
-                if let Ok(mut t) = tls.try_borrow_mut() {
-                    t.drain_counters();
-                }
-            });
-        }
-        LIVE_TOTALS
-            .lock()
-            .map(|totals| totals.iter().map(|(&k, &v)| (k, v)).collect())
-            .unwrap_or_default()
     }
 }
 
@@ -729,53 +646,5 @@ mod tests {
             event!("weird", msg = "a\"b\\c\nd");
         });
         assert!(text.contains(r#""msg":"a\"b\\c\nd""#), "bad escape: {text}");
-    }
-
-    #[test]
-    fn live_mirror_accumulates_without_a_sink() {
-        let _g = TEST_LOCK.lock().unwrap();
-        shutdown();
-        live::enable();
-        live::reset();
-        counter("live/a", 2);
-        counter("live/a", 3);
-        counter("live/b", 1);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                counter("live/a", 10);
-            })
-            .join()
-            .unwrap();
-        });
-        let snap = live::snapshot();
-        assert_eq!(snap, vec![("live/a", 15), ("live/b", 1)]);
-        // Totals persist across snapshots and keep accumulating.
-        counter("live/b", 4);
-        assert_eq!(live::snapshot(), vec![("live/a", 15), ("live/b", 5)]);
-        live::disable();
-        assert!(!enabled(), "gate must drop once both switches are off");
-        assert!(live::snapshot().is_empty(), "disable clears the mirror");
-    }
-
-    #[test]
-    fn live_mirror_survives_trace_shutdown_and_keeps_bytes_identical() {
-        let _g = TEST_LOCK.lock().unwrap();
-        live::enable();
-        live::reset();
-        let with_live = capture(|| {
-            counter("live/traced", 6);
-        });
-        // The mirror saw the total, and the trace record is the same as a
-        // mirror-free run would write.
-        assert_eq!(live::snapshot(), vec![("live/traced", 6)]);
-        assert!(enabled(), "live keeps the gate on after sink shutdown");
-        live::disable();
-        let without_live = capture(|| {
-            counter("live/traced", 6);
-        });
-        assert_eq!(
-            with_live, without_live,
-            "the live mirror must not change trace bytes"
-        );
     }
 }

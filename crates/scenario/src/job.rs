@@ -33,6 +33,7 @@ use bbgnn_gnn::eval::MeanStd;
 use bbgnn_graph::Graph;
 use bbgnn_linalg::ExecContext;
 use bbgnn_supervise::{RunBudget, Stop, SupervisionScope};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -585,51 +586,38 @@ impl Job {
 
     /// One attempt: resolve the input graph, then evaluate.
     fn attempt(&self, prepared: Option<&Graph>, seed: u64) -> BbgnnResult<CellValue> {
-        match self.spec.eval.kind {
-            EvalKind::Accuracy => {
-                let owned;
-                let input = match prepared {
-                    Some(g) => g,
-                    None => {
-                        let clean = dataset::load_dataset(
-                            &self.spec.dataset,
-                            self.spec.eval.scale,
-                            self.spec.seed,
-                        )?;
-                        owned = match &self.attack {
-                            Some(kind) => kind.build().attack(&clean).poisoned,
-                            None => clean,
-                        };
-                        &owned
-                    }
-                };
-                Ok(accuracy_cell(
-                    &self.column,
-                    input,
-                    self.spec.eval.runs,
-                    seed,
-                ))
+        let input = match prepared {
+            Some(g) => Cow::Borrowed(g),
+            None => {
+                let clean = dataset::load_dataset(
+                    &self.spec.dataset,
+                    self.spec.eval.scale,
+                    self.spec.seed,
+                )?;
+                // Only an accuracy cell evaluates on the poisoned graph:
+                // an attack-time cell times the attacker on the clean one,
+                // and `validate` refuses an attacker on a defense-time cell.
+                Cow::Owned(match (&self.attack, self.spec.eval.kind) {
+                    (Some(kind), EvalKind::Accuracy) => kind.build().attack(&clean).poisoned,
+                    _ => clean,
+                })
             }
+        };
+        match self.spec.eval.kind {
+            EvalKind::Accuracy => Ok(accuracy_cell(
+                &self.column,
+                &input,
+                self.spec.eval.runs,
+                seed,
+            )),
             EvalKind::AttackTime => {
                 let kind = self.attack.as_ref().ok_or_else(|| {
                     invalid("attack", "attack_time evaluation requires an attacker")
                 })?;
-                let owned;
-                let input = match prepared {
-                    Some(g) => g,
-                    None => {
-                        owned = dataset::load_dataset(
-                            &self.spec.dataset,
-                            self.spec.eval.scale,
-                            self.spec.seed,
-                        )?;
-                        &owned
-                    }
-                };
                 let mut secs = Vec::with_capacity(self.spec.eval.runs);
                 for _ in 0..self.spec.eval.runs {
                     let mut attacker = kind.build();
-                    secs.push(attacker.attack(input).elapsed.as_secs_f64());
+                    secs.push(attacker.attack(&input).elapsed.as_secs_f64());
                 }
                 let stats = MeanStd::of(&secs);
                 Ok(CellValue::clean(format!(
@@ -638,20 +626,8 @@ impl Job {
                 )))
             }
             EvalKind::DefenseTime => {
-                let owned;
-                let input = match prepared {
-                    Some(g) => g,
-                    None => {
-                        owned = dataset::load_dataset(
-                            &self.spec.dataset,
-                            self.spec.eval.scale,
-                            self.spec.seed,
-                        )?;
-                        &owned
-                    }
-                };
                 let (_, secs) =
-                    evaluate_defender_timed(&self.column, input, self.spec.eval.runs, seed);
+                    evaluate_defender_timed(&self.column, &input, self.spec.eval.runs, seed);
                 Ok(CellValue::clean(format!(
                     "{:.2}±{:.2}",
                     secs.mean, secs.std

@@ -88,7 +88,7 @@ fn main() {
     }
     infra.init();
 
-    let server = match Server::start_with(&addr, capacity, workers) {
+    let server = match Server::start(&addr, capacity, workers) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: bind {addr}: {e}");

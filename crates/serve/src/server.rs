@@ -51,8 +51,9 @@ const SSE_TICK: Duration = Duration::from_millis(150);
 
 /// A running server: owns the accept thread and the worker pool.
 ///
-/// Dropping the handle drains and joins the threads ([`shutdown`]
-/// semantics), so a test that panics still tears the server down.
+/// Dropping the handle drains and joins the threads
+/// ([`shutdown`](Server::shutdown) semantics), so a test that panics still
+/// tears the server down.
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
@@ -62,22 +63,14 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:8787`; port `0` picks a free port —
-    /// read it back from [`addr`](Self::addr)) with a single worker. The
-    /// queue admits at most `capacity` pending jobs.
-    pub fn start(addr: &str, capacity: usize) -> std::io::Result<Server> {
-        Self::start_with(addr, capacity, 1)
-    }
-
-    /// [`start`](Self::start) with a pool of `workers` job runners
-    /// (clamped to ≥ 1).
-    pub fn start_with(addr: &str, capacity: usize, workers: usize) -> std::io::Result<Server> {
+    /// read it back from [`addr`](Self::addr)) with a pool of `workers` job
+    /// runners (clamped to ≥ 1). The queue admits at most `capacity`
+    /// pending jobs.
+    pub fn start(addr: &str, capacity: usize, workers: usize) -> std::io::Result<Server> {
         let workers = workers.max(1);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ServerState::new(capacity, workers));
-        // Progress snapshots read the obs live mirror; the mirror works
-        // with or without a trace sink.
-        bbgnn_obs::live::enable();
         let pool = (0..workers)
             .map(|_| {
                 let state = Arc::clone(&state);
@@ -125,7 +118,6 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        bbgnn_obs::live::disable();
     }
 }
 
@@ -377,8 +369,8 @@ fn run_one(state: &ServerState, id: u64, job: Job) {
         }
     };
     state.finish(id, result, warm);
-    // Push span/counter aggregates to the trace sink (CI greps it) and
-    // fold them into the live mirror for progress snapshots.
+    // Push this worker's counter aggregates to the trace sink (CI greps
+    // it); without a sink this is one relaxed load.
     bbgnn_obs::flush();
 }
 
@@ -405,7 +397,7 @@ mod tests {
     use std::io::{BufRead, BufReader, Read, Write};
 
     /// These tests mutate process-global state (supervision slates, the
-    /// store, the obs live mirror); serialize them.
+    /// store); serialize them.
     static SERVE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
@@ -457,20 +449,28 @@ mod tests {
     }
 
     fn poll_until(addr: SocketAddr, id: &str, states: &[&str]) -> String {
+        poll_for(addr, id, |body| states.contains(&get_field(body, "state")))
+    }
+
+    /// Polls `GET /jobs/:id` until `done` accepts the body, and returns it.
+    fn poll_for(addr: SocketAddr, id: &str, done: impl Fn(&str) -> bool) -> String {
         for _ in 0..2400 {
             let (status, body) = call(addr, "GET", &format!("/jobs/{id}"), "");
             assert_eq!(status, 200, "{body}");
-            if states.contains(&get_field(&body, "state")) {
+            if done(&body) {
                 return body;
             }
             // lint: allow(clock) reason=test poll interval against a live server, not experiment code
             std::thread::sleep(Duration::from_millis(50));
         }
-        panic!("job {id} never reached {states:?}");
+        panic!("job {id} never reached the polled state");
     }
 
     const SMALL: &str =
         r#"{"dataset": "cora", "eval": {"kind": "accuracy", "runs": 1, "scale": 0.05}}"#;
+    /// A deliberately heavy job, so a request lands while it runs.
+    const HEAVY: &str =
+        r#"{"dataset": "cora", "defense": "Pro-GNN", "eval": {"runs": 3, "scale": 0.3}}"#;
 
     #[test]
     fn end_to_end_submit_poll_warm_replay_and_errors() {
@@ -478,7 +478,7 @@ mod tests {
         let store_dir = std::env::temp_dir().join("bbgnn_serve_test_store");
         let _ = std::fs::remove_dir_all(&store_dir);
         bbgnn_store::init_to_path(store_dir.to_str().unwrap()).unwrap();
-        let server = Server::start("127.0.0.1:0", 4).unwrap();
+        let server = Server::start("127.0.0.1:0", 4, 1).unwrap();
         let addr = server.addr();
 
         // The CLI-equivalent expected value, computed in-process.
@@ -531,13 +531,10 @@ mod tests {
     #[test]
     fn delete_cancels_a_running_job_and_the_server_survives() {
         let _guard = locked();
-        let server = Server::start("127.0.0.1:0", 1).unwrap();
+        let server = Server::start("127.0.0.1:0", 1, 1).unwrap();
         let addr = server.addr();
 
-        // A deliberately heavy job so the DELETE lands mid-run.
-        let heavy =
-            r#"{"dataset": "cora", "defense": "Pro-GNN", "eval": {"runs": 3, "scale": 0.3}}"#;
-        let (status, body) = call(addr, "POST", "/jobs", heavy);
+        let (status, body) = call(addr, "POST", "/jobs", HEAVY);
         assert_eq!(status, 200, "{body}");
         let heavy_id = get_field(&body, "id").to_string();
         poll_until(addr, &heavy_id, &["running"]);
@@ -564,12 +561,51 @@ mod tests {
         server.shutdown();
     }
 
+    /// Only a trace sink turns tracing on: a server without one never
+    /// formats a record, and a running job's progress is what its own
+    /// supervision scope recorded, with no process-wide totals mixed in.
+    #[test]
+    fn serving_without_a_sink_leaves_tracing_off_and_progress_per_job() {
+        let _guard = locked();
+        bbgnn_obs::shutdown();
+        let server = Server::start("127.0.0.1:0", 1, 1).unwrap();
+        let addr = server.addr();
+        assert!(!bbgnn_obs::enabled(), "starting a server turned tracing on");
+
+        let (status, body) = call(addr, "POST", "/jobs", HEAVY);
+        assert_eq!(status, 200, "{body}");
+        let id = get_field(&body, "id").to_string();
+        // The job's `progress` object; empty unless it is running.
+        let progress = |body: &str| {
+            let doc = Json::parse(body).unwrap();
+            let progress = doc.as_object().and_then(|d| d.get("progress"));
+            progress
+                .and_then(Json::as_object)
+                .cloned()
+                .unwrap_or_default()
+        };
+        let body = poll_for(addr, &id, |body| {
+            let epochs = progress(body).get("epochs").and_then(Json::as_u64);
+            epochs.is_some_and(|e| e > 0)
+        });
+        assert!(!bbgnn_obs::enabled(), "a running job turned tracing on");
+        // The job records its width before its first epoch.
+        let keys: Vec<String> = progress(&body).into_keys().collect();
+        assert_eq!(keys, ["epochs", "peak_bytes", "queries", "threads"]);
+
+        let (status, body) = call(addr, "DELETE", &format!("/jobs/{id}"), "");
+        assert_eq!(status, 200, "{body}");
+        poll_until(addr, &id, &["cancelled"]);
+        server.shutdown();
+        assert!(!bbgnn_obs::enabled(), "tracing is on after shutdown");
+    }
+
     /// A deeply nested body is a 400, not a stack overflow that takes the
     /// whole process down with it.
     #[test]
     fn deeply_nested_body_is_rejected_and_the_server_survives() {
         let _guard = locked();
-        let server = Server::start("127.0.0.1:0", 1).unwrap();
+        let server = Server::start("127.0.0.1:0", 1, 1).unwrap();
         let addr = server.addr();
         let (status, body) = call(addr, "POST", "/jobs", &"[".repeat(100_000));
         assert_eq!(status, 400, "{body}");
@@ -583,7 +619,7 @@ mod tests {
     #[test]
     fn shutdown_endpoint_drains() {
         let _guard = locked();
-        let server = Server::start("127.0.0.1:0", 2).unwrap();
+        let server = Server::start("127.0.0.1:0", 2, 1).unwrap();
         let addr = server.addr();
         let (status, _) = call(addr, "POST", "/shutdown", "");
         assert_eq!(status, 200);
@@ -593,7 +629,7 @@ mod tests {
     #[test]
     fn keepalive_serves_sequential_requests_on_one_socket() {
         let _guard = locked();
-        let server = Server::start("127.0.0.1:0", 2).unwrap();
+        let server = Server::start("127.0.0.1:0", 2, 1).unwrap();
         let addr = server.addr();
         let stream = TcpStream::connect(addr).unwrap();
         stream
@@ -658,7 +694,7 @@ mod tests {
     #[test]
     fn two_workers_run_concurrent_jobs_byte_identical_to_sequential() {
         let _guard = locked();
-        let server = Server::start_with("127.0.0.1:0", 4, 2).unwrap();
+        let server = Server::start("127.0.0.1:0", 4, 2).unwrap();
         let addr = server.addr();
 
         // Two different specs, expected values computed sequentially
@@ -708,15 +744,13 @@ mod tests {
     #[test]
     fn deleting_one_concurrent_job_leaves_its_sibling_running() {
         let _guard = locked();
-        let server = Server::start_with("127.0.0.1:0", 4, 2).unwrap();
+        let server = Server::start("127.0.0.1:0", 4, 2).unwrap();
         let addr = server.addr();
 
         // Two heavy jobs so both are mid-run when the DELETE lands.
-        let heavy =
-            r#"{"dataset": "cora", "defense": "Pro-GNN", "eval": {"runs": 3, "scale": 0.3}}"#;
         let heavy2 =
             r#"{"dataset": "cora", "defense": "Pro-GNN", "eval": {"runs": 3, "scale": 0.25}}"#;
-        let (status, body) = call(addr, "POST", "/jobs", heavy);
+        let (status, body) = call(addr, "POST", "/jobs", HEAVY);
         assert_eq!(status, 200, "{body}");
         let victim = get_field(&body, "id").to_string();
         let (status, body) = call(addr, "POST", "/jobs", heavy2);
@@ -740,7 +774,7 @@ mod tests {
     #[test]
     fn sse_stream_follows_a_job_to_its_terminal_event() {
         let _guard = locked();
-        let server = Server::start("127.0.0.1:0", 2).unwrap();
+        let server = Server::start("127.0.0.1:0", 2, 1).unwrap();
         let addr = server.addr();
 
         // Unknown job: plain 404, not a stream.

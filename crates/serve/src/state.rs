@@ -174,7 +174,6 @@ fn job_json_locked(inner: &Inner, id: u64) -> Option<Json> {
         pairs.push(("result".to_string(), Json::object(r)));
     }
     if entry.phase == JobPhase::Running {
-        let counters = bbgnn_obs::live::snapshot();
         // `threads` is present once the cold run has recorded its width.
         let width = entry.scope.threads();
         pairs.push((
@@ -192,14 +191,6 @@ fn job_json_locked(inner: &Inner, id: u64) -> Option<Json> {
                     (
                         "peak_bytes".to_string(),
                         Json::number_u64(entry.scope.peak_bytes()),
-                    ),
-                    (
-                        "counters".to_string(),
-                        Json::object(
-                            counters
-                                .into_iter()
-                                .map(|(k, v)| (k.to_string(), Json::number_u64(v))),
-                        ),
                     ),
                 ]
                 .into_iter()
@@ -392,9 +383,8 @@ impl ServerState {
     }
 
     /// The `GET /jobs/:id` snapshot. Progress numbers come from the
-    /// job's own [`SupervisionScope`] — isolated per job even with a
-    /// concurrent worker pool — plus the obs live-mirror counters (which
-    /// are process-wide and so describe the whole pool).
+    /// job's own [`SupervisionScope`] and nothing else, so they stay
+    /// isolated per job even with a concurrent worker pool.
     pub fn job_json(&self, id: u64) -> Option<Json> {
         let inner = lock(&self.inner);
         job_json_locked(&inner, id)
